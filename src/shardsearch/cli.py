@@ -279,6 +279,18 @@ def cmd_search(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config_path.stem}-{algo}"
     if (out_dir / "summary.json").exists():
         raise CliError(f"refusing to overwrite finished run directory {out_dir}")
+    run_names = (
+        ["grid"]
+        if algo == "exhaustive"
+        else [f"seed_{seed}" for seed in range(args.seed0, args.seed0 + seeds_count)]
+    )
+    for name in run_names:
+        log = out_dir / name / "evals.ndjson"
+        if log.is_file() and log.stat().st_size > 0:
+            raise CliError(
+                f"refusing to append to {log}: it already holds records "
+                "of another run"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(config_path, out_dir / "config.yaml")
 
@@ -382,16 +394,23 @@ def _read_run(path: Path) -> _RunDir:
         log = sub / "evals.ndjson"
         if not log.is_file():
             continue
+        records = load_eval_log(log)
         best = 0.0
         curve = []
-        for record in load_eval_log(log):
+        for record in records:
             if record.valid and record.raw > best:
                 best = record.raw
             curve.append(best)
         seed = None
         report_path = sub / "report.json"
         if report_path.is_file():
-            seed = SearchReport.from_json(report_path.read_text(encoding="utf-8")).seed
+            report = SearchReport.from_json(report_path.read_text(encoding="utf-8"))
+            if len(records) != report.evals:
+                raise CliError(
+                    f"{log} holds {len(records)} records but {report_path} "
+                    f"reports {report.evals} evals"
+                )
+            seed = report.seed
         seeds.append(_SeedRun(seed=seed, best_raw=best, curve=tuple(curve)))
     if not seeds:
         raise CliError(f"{path} contains no eval logs")

@@ -13,6 +13,7 @@ convert them, so datasheet-style notation works either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -41,8 +42,10 @@ class SimulationSettings:
     def __post_init__(self) -> None:
         if self.context_len < 1:
             raise ValueError(f"simulation.context_len must be >= 1, got {self.context_len}")
-        if self.slo_tpot <= 0:
-            raise ValueError(f"simulation.slo_tpot must be positive, got {self.slo_tpot}")
+        if not (math.isfinite(self.slo_tpot) and self.slo_tpot > 0):
+            raise ValueError(
+                f"simulation.slo_tpot must be finite and positive, got {self.slo_tpot}"
+            )
 
 
 @dataclass(frozen=True)

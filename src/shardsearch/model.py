@@ -7,6 +7,7 @@ came from (YAML, tests, or code).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -101,8 +102,10 @@ class HardwareSpec:
             "inter_node_bw": self.inter_node_bw,
         }
         for field, value in rates.items():
-            if not value > 0:
-                raise ValueError(f"hardware.{field} must be positive, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"hardware.{field} must be finite and positive, got {value!r}"
+                )
         if not isinstance(self.node_size, int) or self.node_size < 1:
             raise ValueError(f"hardware.node_size must be a positive integer, got {self.node_size!r}")
         if not isinstance(self.device_budget, int) or self.device_budget < 1:
@@ -113,8 +116,10 @@ class HardwareSpec:
             ("kernel_overhead", self.kernel_overhead),
             ("per_collective_latency", self.per_collective_latency),
         ):
-            if value < 0:
-                raise ValueError(f"hardware.{field} must be non-negative, got {value!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"hardware.{field} must be finite and non-negative, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)

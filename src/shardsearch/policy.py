@@ -8,8 +8,11 @@ heads score every sub-action, alongside a scalar value estimate.
 All math is float64 numpy with hand-written backward passes: the network is
 small enough that explicit gradients are simpler than an autodiff dependency,
 and they stay directly checkable against finite differences. Parameters live
-in an ordered name -> array dict so the optimizer, the checkpoint codec and
-gradient checks can treat the network as a flat collection of tensors.
+in one contiguous float64 vector (``flat``); ``params`` maps each tensor name
+to a view into it, so the optimizer steps the whole network as one vector
+while the checkpoint codec and gradient checks still address named tensors.
+Gradients use the same layout: ``backward`` writes into views of one flat
+gradient vector.
 
 Design notes:
   * No positional signal on the elite rows. Rank is already implied by the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -152,17 +156,22 @@ def head_masks(
 
 @dataclass(frozen=True)
 class PolicyOutput:
-    """Per-head categorical scores plus the critic's value estimate."""
+    """Per-head categorical scores plus the critic's value estimate.
+
+    ``log_probs`` is derived from ``logits`` when not given, so a
+    hand-built output samples exactly like one from ``forward``.
+    """
 
     logits: tuple[np.ndarray, ...]
     probs: tuple[np.ndarray, ...]
     value: float
     pooled: np.ndarray
+    log_probs: tuple[np.ndarray, ...] | None = None
 
-
-def _require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"non-finite values in {name}")
+    def __post_init__(self) -> None:
+        if self.log_probs is None:
+            derived = tuple(masked_log_softmax(head)[0] for head in self.logits)
+            object.__setattr__(self, "log_probs", derived)
 
 
 def masked_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +247,14 @@ class PolicyNetwork:
         self.width = int(width)
         self.ffn_width = int(ffn_width)
         self._scale = 1.0 / np.sqrt(float(width))
-        self.params = self._init_params(rng)
+        tensors = self._init_params(rng)
+        self._layout: list[tuple[str, int, int, tuple[int, ...]]] = []
+        offset = 0
+        for name, tensor in tensors.items():
+            self._layout.append((name, offset, offset + tensor.size, tensor.shape))
+            offset += tensor.size
+        self.flat = np.concatenate([t.ravel() for t in tensors.values()])
+        self.params: Mapping[str, np.ndarray] = self.tensor_views(self.flat)
 
     # -- parameters ---------------------------------------------------------
 
@@ -280,9 +296,22 @@ class PolicyNetwork:
         params["value.b2"] = np.zeros(1)
         return params
 
+    def tensor_views(self, vector: np.ndarray) -> Mapping[str, np.ndarray]:
+        """Read-only name -> view map over a vector laid out like ``flat``.
+
+        The mapping is read-only so no entry can be rebound to an array
+        outside the vector; write through the views instead (``[...] =``).
+        """
+        return MappingProxyType(
+            {
+                name: vector[start:stop].reshape(shape)
+                for name, start, stop, shape in self._layout
+            }
+        )
+
     @property
     def num_parameters(self) -> int:
-        return sum(t.size for t in self.params.values())
+        return self.flat.size
 
     def state(self) -> dict[str, np.ndarray]:
         """Copies of all parameter tensors, checkpoint-ready."""
@@ -301,12 +330,19 @@ class PolicyNetwork:
                     f"shape mismatch for {name}: "
                     f"expected {current.shape}, got {incoming.shape}"
                 )
-            self.params[name] = incoming.copy()
+            current[...] = incoming
 
     def check_finite(self) -> None:
-        """Raise NumericsError if any parameter tensor went non-finite."""
+        """Raise NumericsError if any parameter went non-finite.
+
+        One pass over ``flat``; the offending tensor is looked up only on
+        failure.
+        """
+        if np.isfinite(self.flat).all():
+            return
         for name, tensor in self.params.items():
-            _require_finite(name, tensor)
+            if not np.isfinite(tensor).all():
+                raise NumericsError(f"non-finite values in {name}")
 
     # -- forward ------------------------------------------------------------
 
@@ -339,21 +375,25 @@ class PolicyNetwork:
         pooled = hidden2.mean(axis=0)
 
         logits: list[np.ndarray] = []
+        log_probs: list[np.ndarray] = []
         probs: list[np.ndarray] = []
         for i, mask in enumerate(self.masks):
             raw = pooled @ p[f"head.{i}.w"] + p[f"head.{i}.b"]
             masked = np.where(mask, raw, MASKED_LOGIT)
             logits.append(masked)
-            probs.append(masked_log_softmax(masked)[1])
+            head_log_probs, head_probs = masked_log_softmax(masked)
+            log_probs.append(head_log_probs)
+            probs.append(head_probs)
 
         value_pre = pooled @ p["value.w1"] + p["value.b1"]
         value_act = np.maximum(value_pre, 0.0)
         value = float((value_act @ p["value.w2"])[0] + p["value.b2"][0])
 
-        _require_finite("pooled latent", pooled)
-        for i, head in enumerate(logits):
-            if not np.all(np.isfinite(head)):
-                raise NumericsError(f"non-finite values in head {i} logits")
+        if not np.isfinite(pooled).all():
+            raise NumericsError("non-finite values in pooled latent")
+        if not np.isfinite(np.concatenate(logits)).all():
+            bad = next(i for i, h in enumerate(logits) if not np.isfinite(h).all())
+            raise NumericsError(f"non-finite values in head {bad} logits")
         if not np.isfinite(value):
             raise NumericsError("non-finite value estimate")
 
@@ -376,7 +416,11 @@ class PolicyNetwork:
             "value_act": value_act,
         }
         out = PolicyOutput(
-            logits=tuple(logits), probs=tuple(probs), value=value, pooled=pooled
+            logits=tuple(logits),
+            probs=tuple(probs),
+            value=value,
+            pooled=pooled,
+            log_probs=tuple(log_probs),
         )
         return out, cache
 
@@ -390,55 +434,75 @@ class PolicyNetwork:
         cache: dict,
         d_logits: Sequence[np.ndarray],
         d_value: float,
-    ) -> dict[str, np.ndarray]:
+        grad: np.ndarray | None = None,
+        accumulate: bool = False,
+    ) -> Mapping[str, np.ndarray]:
         """Gradients of a scalar loss given its direct logit/value gradients.
 
         ``d_logits[i]`` is d(loss)/d(logits of head i); entries at masked
-        positions are ignored (the mask blocks the forward path). Returns a
-        dict keyed exactly like ``params``.
+        positions are ignored (the mask blocks the forward path). Gradients
+        go into ``grad``, a vector laid out like ``flat`` (a fresh one when
+        omitted): overwriting it, or adding to it when ``accumulate`` is set.
+        Returns the named views into ``grad``, keyed exactly like ``params``.
         """
         p = self.params
-        grads: dict[str, np.ndarray] = {}
+        if grad is None:
+            grad = np.empty_like(self.flat)
+        grads = self.tensor_views(grad)
         rows = float(self.history_len)
         pooled = cache["pooled"]
+
+        def emit(name: str, op: np.ufunc, a: np.ndarray, b) -> None:
+            view = grads[name]
+            if accumulate:
+                view += op(a, b)
+            else:
+                op(a, b, out=view)
+
+        def store(name: str, value) -> None:
+            view = grads[name]
+            if accumulate:
+                view += value
+            else:
+                view[...] = value
 
         d_pooled = np.zeros_like(pooled)
         for i, mask in enumerate(self.masks):
             dl = np.where(mask, np.asarray(d_logits[i], dtype=np.float64), 0.0)
-            grads[f"head.{i}.w"] = np.outer(pooled, dl)
-            grads[f"head.{i}.b"] = dl
+            emit(f"head.{i}.w", np.multiply, pooled[:, None], dl)  # outer product
+            store(f"head.{i}.b", dl)
             d_pooled += p[f"head.{i}.w"] @ dl
 
         dv = float(d_value)
-        grads["value.w2"] = cache["value_act"][:, None] * dv
-        grads["value.b2"] = np.array([dv])
+        emit("value.w2", np.multiply, cache["value_act"][:, None], dv)
+        store("value.b2", dv)
         d_value_act = p["value.w2"][:, 0] * dv
         d_value_pre = d_value_act * (cache["value_pre"] > 0.0)
-        grads["value.w1"] = np.outer(pooled, d_value_pre)
-        grads["value.b1"] = d_value_pre
+        emit("value.w1", np.multiply, pooled[:, None], d_value_pre)
+        store("value.b1", d_value_pre)
         d_pooled += p["value.w1"] @ d_value_pre
 
         d_hidden2 = np.tile(d_pooled / rows, (self.history_len, 1))
-        d_res2, grads["ln2.g"], grads["ln2.b"] = _layer_norm_backward(
-            d_hidden2, cache["ln2"]
-        )
+        d_res2, d_gain, d_bias = _layer_norm_backward(d_hidden2, cache["ln2"])
+        store("ln2.g", d_gain)
+        store("ln2.b", d_bias)
         d_ffn_out = d_res2
         d_hidden1 = d_res2.copy()
-        grads["ffn.w2"] = cache["ffn_act"].T @ d_ffn_out
-        grads["ffn.b2"] = d_ffn_out.sum(axis=0)
+        emit("ffn.w2", np.matmul, cache["ffn_act"].T, d_ffn_out)
+        store("ffn.b2", d_ffn_out.sum(axis=0))
         d_ffn_act = d_ffn_out @ p["ffn.w2"].T
         d_ffn_pre = d_ffn_act * (cache["ffn_pre"] > 0.0)
-        grads["ffn.w1"] = cache["hidden1"].T @ d_ffn_pre
-        grads["ffn.b1"] = d_ffn_pre.sum(axis=0)
+        emit("ffn.w1", np.matmul, cache["hidden1"].T, d_ffn_pre)
+        store("ffn.b1", d_ffn_pre.sum(axis=0))
         d_hidden1 += d_ffn_pre @ p["ffn.w1"].T
 
-        d_res1, grads["ln1.g"], grads["ln1.b"] = _layer_norm_backward(
-            d_hidden1, cache["ln1"]
-        )
+        d_res1, d_gain, d_bias = _layer_norm_backward(d_hidden1, cache["ln1"])
+        store("ln1.g", d_gain)
+        store("ln1.b", d_bias)
         d_embedded = d_res1.copy()
         d_attn_out = d_res1
-        grads["attn.wo"] = cache["context"].T @ d_attn_out
-        grads["attn.bo"] = d_attn_out.sum(axis=0)
+        emit("attn.wo", np.matmul, cache["context"].T, d_attn_out)
+        store("attn.bo", d_attn_out.sum(axis=0))
         d_context = d_attn_out @ p["attn.wo"].T
 
         weights = cache["weights"]
@@ -453,18 +517,18 @@ class PolicyNetwork:
         d_k = d_scores.T @ cache["q"]
 
         embedded = cache["embedded"]
-        grads["attn.wq"] = embedded.T @ d_q
-        grads["attn.bq"] = d_q.sum(axis=0)
-        grads["attn.wk"] = embedded.T @ d_k
-        grads["attn.bk"] = d_k.sum(axis=0)
-        grads["attn.wv"] = embedded.T @ d_v
-        grads["attn.bv"] = d_v.sum(axis=0)
+        emit("attn.wq", np.matmul, embedded.T, d_q)
+        store("attn.bq", d_q.sum(axis=0))
+        emit("attn.wk", np.matmul, embedded.T, d_k)
+        store("attn.bk", d_k.sum(axis=0))
+        emit("attn.wv", np.matmul, embedded.T, d_v)
+        store("attn.bv", d_v.sum(axis=0))
         d_embedded += d_q @ p["attn.wq"].T
         d_embedded += d_k @ p["attn.wk"].T
         d_embedded += d_v @ p["attn.wv"].T
 
-        grads["embed.w"] = cache["x"].T @ d_embedded
-        grads["embed.b"] = d_embedded.sum(axis=0)
+        emit("embed.w", np.matmul, cache["x"].T, d_embedded)
+        store("embed.b", d_embedded.sum(axis=0))
         return grads
 
     # -- action interface ---------------------------------------------------
@@ -476,8 +540,7 @@ class PolicyNetwork:
         action: list[int] = []
         logprob = 0.0
         entropy = 0.0
-        for head in out.logits:
-            log_probs, probs = masked_log_softmax(head)
+        for log_probs, probs in zip(out.log_probs, out.probs):
             idx = sample_categorical(probs, rng)
             action.append(idx)
             logprob += float(log_probs[idx])
@@ -492,8 +555,7 @@ class PolicyNetwork:
             raise ValueError("action length does not match head count")
         logprob = 0.0
         entropy = 0.0
-        for head, idx in zip(out.logits, action):
-            log_probs, probs = masked_log_softmax(head)
+        for log_probs, probs, idx in zip(out.log_probs, out.probs, action):
             logprob += float(log_probs[int(idx)])
             entropy += float(-np.sum(probs * log_probs))
         return logprob, entropy

@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .policy import (
     EliteBuffer,
     NumericsError,
     PolicyNetwork,
+    PolicyOutput,
     build_observation,
     confidence,
-    masked_log_softmax,
 )
 from .strategy import canonical_fused_ops
 
@@ -86,13 +86,21 @@ class PpoConfig:
 
 @dataclass(frozen=True)
 class RolloutSample:
-    """One on-policy step: what was seen, done, and scored."""
+    """One on-policy step: what was seen, done, and scored.
+
+    ``forward`` is the (output, cache) pair of the forward pass that chose
+    the action, kept so the first optimization epoch, which runs under the
+    same parameters, need not recompute it.
+    """
 
     obs: np.ndarray
     action: tuple[int, ...]
     logprob_old: float
     reward: float
     value_old: float
+    forward: tuple[PolicyOutput, dict] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -128,11 +136,20 @@ class ChunkOutcome:
 
 
 class Adam:
-    """Adam with bias correction; learning rate supplied per apply call."""
+    """Adam with bias correction over one flat parameter vector.
+
+    ``m`` and ``v`` are flat vectors shaped like the parameters; the
+    learning rate is supplied per ``apply`` call. The update runs in place,
+    ``BLOCK`` elements at a time, with the gradient block and one
+    block-sized scratch row as its only temporaries, so a step allocates
+    nothing.
+    """
+
+    BLOCK = 1 << 15
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
@@ -141,24 +158,39 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {name: np.zeros_like(t) for name, t in params.items()}
-        self._v = {name: np.zeros_like(t) for name, t in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = np.empty(min(params.size, self.BLOCK))
 
-    def apply(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float
-    ) -> None:
+    def apply(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """One step: ``params -= lr * m_hat / (sqrt(v_hat) + eps)``, in place.
+
+        ``grad`` is consumed: it serves as scratch space and holds no
+        gradient afterwards.
+        """
         self.step_count += 1
         bias1 = 1.0 - self.beta1**self.step_count
         bias2 = 1.0 - self.beta2**self.step_count
-        for name, grad in grads.items():
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+        for lo in range(0, params.size, self.BLOCK):
+            hi = min(lo + self.BLOCK, params.size)
+            g = grad[lo:hi]
+            m = self.m[lo:hi]
+            v = self.v[lo:hi]
+            t = self._scratch[: hi - lo]
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            step = lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            params[name] = params[name] - step
+            np.multiply(1.0 - self.beta2, g, out=t)
+            t *= g
+            v += t
+            m *= self.beta1
+            g *= 1.0 - self.beta1
+            m += g
+            np.divide(m, bias1, out=g)
+            g *= lr
+            np.divide(v, bias2, out=t)
+            np.sqrt(t, out=t)
+            t += self.eps
+            g /= t
+            params[lo:hi] -= g
 
 
 def cosine_decay(initial: float, progress: float) -> float:
@@ -173,17 +205,24 @@ def collect(
     buf: EliteBuffer,
     n: int,
     rng: np.random.Generator,
+    first: tuple[np.ndarray, PolicyOutput, dict] | None = None,
 ) -> RolloutBatch:
     """Run ``n`` one-step episodes under the current policy.
 
     Valid strategies are offered to the elite buffer with the reward they
     earned; invalid ones stay in the batch (the penalty is signal) but never
     become elites. BudgetExhausted propagates and discards the partial batch.
+    ``first`` is an (observation, output, cache) triple already computed on
+    the current buffer and parameters; the first step uses it as its
+    forward pass.
     """
     samples = []
-    for _ in range(n):
-        obs = build_observation(buf, policy.space)
-        out = policy.forward(obs)
+    for step in range(n):
+        if step == 0 and first is not None:
+            obs, out, cache = first
+        else:
+            obs = build_observation(buf, policy.space)
+            out, cache = policy.forward_cached(obs)
         action, logprob, _ = policy.sample(out, rng)
         reward, _, valid = env.step(action)
         if valid:
@@ -195,14 +234,19 @@ def collect(
                 logprob_old=logprob,
                 reward=reward,
                 value_old=out.value,
+                forward=(out, cache),
             )
         )
     return RolloutBatch(samples=tuple(samples))
 
 
 def loss_and_grads(
-    policy: PolicyNetwork, batch: RolloutBatch, cfg: PpoConfig
-) -> tuple[LossReport, dict[str, np.ndarray]]:
+    policy: PolicyNetwork,
+    batch: RolloutBatch,
+    cfg: PpoConfig,
+    grad: np.ndarray | None = None,
+    reuse_forward: bool = False,
+) -> tuple[LossReport, Mapping[str, np.ndarray]]:
     """Clipped-surrogate PPO loss and its exact parameter gradients.
 
     Loss per sample, advantage A = reward - value_old:
@@ -211,32 +255,42 @@ def loss_and_grads(
         - entropy_coef * sum_m H(p_m)
     averaged over the batch. rho multiplies per-head probabilities, i.e. it
     exponentiates the summed log-probs.
+
+    The gradient is written into ``grad`` (laid out like ``policy.flat``; a
+    fresh vector when omitted) and returned as named views into it. With
+    ``reuse_forward`` each sample's stored forward pass stands in for a new
+    one, which is exact only while the parameters are those it was taken
+    under.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("empty rollout batch")
-    grads: dict[str, np.ndarray] | None = None
+    if grad is None:
+        grad = np.empty_like(policy.flat)
+    grads: Mapping[str, np.ndarray] | None = None
     policy_loss = 0.0
     value_loss = 0.0
     entropy_total = 0.0
     clipped = 0
     ratio_sum = 0.0
 
-    for sample in batch.samples:
+    for i, sample in enumerate(batch.samples):
         if not (
             math.isfinite(sample.reward)
             and math.isfinite(sample.value_old)
             and math.isfinite(sample.logprob_old)
         ):
             raise NumericsError(f"non-finite rollout sample: {sample}")
-        out, cache = policy.forward_cached(sample.obs)
+        if reuse_forward and sample.forward is not None:
+            out, cache = sample.forward
+        else:
+            out, cache = policy.forward_cached(sample.obs)
         advantage = sample.reward - sample.value_old
 
         logprob_new = 0.0
         per_head: list[tuple[np.ndarray, np.ndarray, float]] = []
         entropy = 0.0
-        for head, idx in zip(out.logits, sample.action):
-            log_probs, probs = masked_log_softmax(head)
+        for log_probs, probs, idx in zip(out.log_probs, out.probs, sample.action):
             logprob_new += float(log_probs[idx])
             head_entropy = float(-np.sum(probs * log_probs))
             entropy += head_entropy
@@ -271,12 +325,7 @@ def loss_and_grads(
             d_head += cfg.entropy_coef * probs * (log_probs + head_entropy) / n
             d_logits.append(d_head)
 
-        sample_grads = policy.backward(cache, d_logits, d_value)
-        if grads is None:
-            grads = sample_grads
-        else:
-            for name, grad in sample_grads.items():
-                grads[name] += grad
+        grads = policy.backward(cache, d_logits, d_value, grad, accumulate=i > 0)
 
     total = policy_loss + value_loss - cfg.entropy_coef * entropy_total
     if not math.isfinite(total):
@@ -309,9 +358,11 @@ def ppo_update(
     aborts the run.
     """
     reports = []
-    for _ in range(cfg.epochs_per_update):
-        report, grads = loss_and_grads(policy, batch, cfg)
-        optimizer.apply(policy.params, grads, lr)
+    grad = np.empty_like(policy.flat)
+    for epoch in range(cfg.epochs_per_update):
+        # Epoch 0 runs under the parameters the batch was collected with.
+        report, _ = loss_and_grads(policy, batch, cfg, grad, reuse_forward=epoch == 0)
+        optimizer.apply(policy.flat, grad, lr)
         policy.check_finite()
         reports.append(
             LossReport(
@@ -340,22 +391,27 @@ def run_chunk(
 
     The confidence check runs after every update on the observation built
     from the current elite buffer; single-choice heads are confident by
-    construction (their max probability is 1).
+    construction (their max probability is 1). Neither the buffer nor the
+    parameters change before the next rollout's first step, so that step
+    reuses the check's forward pass.
     """
     if allowance < 1:
         raise ValueError("chunk allowance must be >= 1")
     if optimizer is None:
-        optimizer = Adam(policy.params)
+        optimizer = Adam(policy.flat)
     spent = 0
+    first = None
     while spent < allowance:
         n = min(cfg.n_steps, allowance - spent)
         lr = cosine_decay(cfg.lr_initial, spent / allowance)
-        batch = collect(env, policy, buf, n, rng)
+        batch = collect(env, policy, buf, n, rng, first)
         spent += len(batch)
         ppo_update(policy, batch, cfg, lr, optimizer)
-        out = policy.forward(build_observation(buf, policy.space))
+        obs = build_observation(buf, policy.space)
+        out, cache = policy.forward_cached(obs)
         if bool(np.all(confidence(out) >= cfg.tau)):
             return ChunkOutcome(exit=ChunkExit.EARLY_EXIT, evals_used=spent)
+        first = (obs, out, cache)
     return ChunkOutcome(exit=ChunkExit.EXHAUSTED, evals_used=spent)
 
 
@@ -483,11 +539,13 @@ def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> SearchReport:
 
     restarts: list[int] = []
     evals_done = 0
-    carry = 0
     chunk_budget = cfg.budget // cfg.chunks
-    schedule = [chunk_budget] * cfg.chunks
-    for base_allowance in schedule:
-        allowance = base_allowance + carry
+    while evals_done < cfg.budget:
+        # The k-th scheduled chunk may bring the total to k chunk budgets, so
+        # an early exit's unspent evals roll into the next chunk. Restarts past
+        # the last scheduled chunk spend what an early exit there left over.
+        scheduled = min(len(restarts) + 1, cfg.chunks)
+        allowance = scheduled * chunk_budget - evals_done
         policy = PolicyNetwork(
             env.space,
             ops,
@@ -499,23 +557,6 @@ def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> SearchReport:
         restarts.append(evals_done)
         outcome = run_chunk(env, policy, buf, allowance, cfg, rng)
         evals_done += outcome.evals_used
-        carry = allowance - outcome.evals_used
-    # An early exit in the last scheduled chunk leaves budget on the table;
-    # spend it with additional restarts so total evals always equal budget.
-    while carry > 0:
-        allowance = carry
-        policy = PolicyNetwork(
-            env.space,
-            ops,
-            rng=rng,
-            history_len=cfg.history_len,
-            width=cfg.width,
-            ffn_width=cfg.ffn_width,
-        )
-        restarts.append(evals_done)
-        outcome = run_chunk(env, policy, buf, allowance, cfg, rng)
-        evals_done += outcome.evals_used
-        carry = allowance - outcome.evals_used
 
     records = env.eval_log[first_record : first_record + evals_done]
     return build_report(

@@ -69,8 +69,10 @@ class SimRequest:
             raise ValueError(f"only the decode phase is modeled, got phase={self.phase!r}")
         if self.context_len < 1:
             raise ValueError(f"context_len must be positive, got {self.context_len}")
-        if self.slo_tpot <= 0:
-            raise ValueError(f"slo_tpot must be positive, got {self.slo_tpot}")
+        if not (math.isfinite(self.slo_tpot) and self.slo_tpot > 0):
+            raise ValueError(
+                f"simulation.slo_tpot must be finite and positive, got {self.slo_tpot}"
+            )
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ def test_gradients_collective_costs_breakdown_and_codec_are_exact(tiny_cfg):
     policy = PolicyNetwork(space, ops, rng=rng, width=8, ffn_width=8)
     for name in policy.params:
         if name.startswith(("head.", "value.w", "value.b")):
-            policy.params[name] = rng.normal(scale=0.3, size=policy.params[name].shape)
+            policy.params[name][...] = rng.normal(scale=0.3, size=policy.params[name].shape)
     samples = []
     for advantage in (0.8, -0.5):
         obs = rng.random((3, space.vector_length))
@@ -345,7 +345,7 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
         for i, (k, idx) in enumerate(zip(policy.head_sizes, action)):
             bias = np.full(k, -50.0)
             bias[idx] = 50.0
-            policy.params[f"head.{i}.b"] = bias
+            policy.params[f"head.{i}.b"][...] = bias
 
     # Early exit fires when every head is confident...
     env = make_env(tiny_cfg, 8)
@@ -361,7 +361,7 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
     env = make_env(tiny_cfg, 8)
     policy = fresh_policy(2)
     one_hot(policy, (0,) * len(policy.head_sizes))
-    policy.params["head.0.b"] = np.zeros(len(space.tp_domain))
+    policy.params["head.0.b"][...] = np.zeros(len(space.tp_domain))
     outcome = run_chunk(
         env, policy, EliteBuffer(3), allowance=8, cfg=chunk_cfg,
         rng=np.random.default_rng(3),

@@ -268,6 +268,22 @@ class TestSearch:
         assert code == 1
         assert "refusing" in err
 
+    def test_rerun_into_unfinished_directory_refused(self, tmp_path, capsys):
+        # A crash leaves logs but no summary.json; a second search into the
+        # same directory must not append to them.
+        out_dir = tmp_path / "rw"
+        args = ["search", "--config", "tiny", "--algo", "rw", "--budget", "50",
+                "--out", str(out_dir)]
+        assert run_cli(args, capsys)[0] == 0
+        log = out_dir / "seed_0" / "evals.ndjson"
+        first = log.read_bytes()
+        (out_dir / "summary.json").unlink()
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert str(log) in err
+        assert log.read_bytes() == first
+        assert len(load_eval_log(log)) == 50
+
     def test_summary_is_recomputable_from_the_logs(self, tmp_path, capsys):
         out_dir = tmp_path / "rw"
         run_cli(
@@ -368,6 +384,14 @@ class TestReport:
         code, out, _ = run_cli(["report", str(a), str(b)], capsys)
         assert code == 0
         assert "tiny-moe@128" in out and "other-moe@128" in out
+
+    def test_log_length_must_match_report(self, tmp_path, capsys):
+        out_dir = make_run(tmp_path, capsys, "rw", "rw", budget="20", seeds="1")
+        log = out_dir / "seed_0" / "evals.ndjson"
+        log.write_text(log.read_text() * 2)
+        code, _, err = run_cli(["report", str(out_dir)], capsys)
+        assert code == 1
+        assert str(log) in err and "reports 20 evals" in err
 
     def test_missing_run_directory_is_a_tool_error(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nothing")], capsys)

@@ -108,6 +108,17 @@ class TestStrictParsing:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    def test_non_finite_hardware_value_named(self):
+        doc = minimal_doc()
+        doc["hardware"]["kernel_overhead"] = float("nan")
+        with pytest.raises(ConfigError, match="hardware.kernel_overhead"):
+            parse_config(doc)
+
+    def test_nan_slo_tpot_named(self):
+        doc = minimal_doc(simulation={"context_len": 256, "slo_tpot": float("nan")})
+        with pytest.raises(ConfigError, match="simulation.slo_tpot"):
+            parse_config(doc)
+
     def test_ppo_section_validated(self):
         doc = minimal_doc(ppo={"budget": 10, "chunks": 3})
         with pytest.raises(ConfigError, match="divide"):

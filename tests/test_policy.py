@@ -248,7 +248,7 @@ class TestForward:
             rng = np.random.default_rng(100 + seed)
             for name in policy.params:
                 if name.startswith(("head.", "value.")):
-                    policy.params[name] = rng.normal(
+                    policy.params[name][...] = rng.normal(
                         scale=0.5, size=policy.params[name].shape
                     )
             obs = rng.random((3, 7))
@@ -329,7 +329,7 @@ class TestSample:
         rng = np.random.default_rng(4)
         for name in policy.params:
             if name.startswith("head."):
-                policy.params[name] = rng.normal(scale=0.3, size=policy.params[name].shape)
+                policy.params[name][...] = rng.normal(scale=0.3, size=policy.params[name].shape)
         out = policy.forward(rng.random((3, 7)))
         action, logprob, entropy = policy.sample(out, np.random.default_rng(9))
         expected = 0.0
@@ -414,7 +414,7 @@ class TestGradients:
         # trivially zero; randomize them so every path carries signal.
         for name in policy.params:
             if name.startswith(("head.", "value.")) and not name.startswith("value.b"):
-                policy.params[name] = rng.normal(scale=0.4, size=policy.params[name].shape)
+                policy.params[name][...] = rng.normal(scale=0.4, size=policy.params[name].shape)
         return policy
 
     @staticmethod

@@ -109,7 +109,7 @@ def force_one_hot(policy, action):
     for i, (k, idx) in enumerate(zip(policy.head_sizes, action)):
         bias = np.full(k, -50.0)
         bias[idx] = 50.0
-        policy.params[f"head.{i}.b"] = bias
+        policy.params[f"head.{i}.b"][...] = bias
 
 
 class TestPpoConfig:
@@ -156,21 +156,57 @@ class TestCosineSchedule:
         assert cosine_decay(1e-3, 1.5) == 0.0
 
 
+def reference_adam_steps(tensors, grad_steps, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor Adam, written as plain array expressions, one dict per step."""
+    params = {name: t.copy() for name, t in tensors.items()}
+    m = {name: np.zeros_like(t) for name, t in tensors.items()}
+    v = {name: np.zeros_like(t) for name, t in tensors.items()}
+    for step, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+        bias1 = 1.0 - beta1**step
+        bias2 = 1.0 - beta2**step
+        for name, grad in grads.items():
+            m[name] = m[name] * beta1 + (1.0 - beta1) * grad
+            v[name] = v[name] * beta2 + (1.0 - beta2) * grad * grad
+            update = lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+            params[name] = params[name] - update
+    return params
+
+
 class TestAdam:
     def test_first_step_has_unit_scale(self):
         # With bias correction the first step is lr * g / (|g| + eps).
-        params = {"x": np.array([1.0])}
+        params = np.array([1.0])
         opt = Adam(params)
-        opt.apply(params, {"x": np.array([2.0])}, lr=0.1)
-        assert params["x"][0] == pytest.approx(0.9, rel=1e-6)
+        opt.apply(params, np.array([2.0]), lr=0.1)
+        assert params[0] == pytest.approx(0.9, rel=1e-6)
 
     def test_descends_a_quadratic(self):
-        params = {"x": np.array([3.0])}
+        params = np.array([3.0])
         opt = Adam(params)
         for _ in range(200):
-            grads = {"x": 2.0 * params["x"]}
-            opt.apply(params, grads, lr=0.05)
-        assert abs(params["x"][0]) < 0.1
+            opt.apply(params, 2.0 * params, lr=0.05)
+        assert abs(params[0]) < 0.1
+
+    def test_flat_update_matches_per_tensor_reference_bit_for_bit(self):
+        # Width 128 spans several update blocks, the last one partial, with
+        # tensors straddling block boundaries.
+        policy = make_policy(seed=21, width=128)
+        assert policy.flat.size > 3 * Adam.BLOCK and policy.flat.size % Adam.BLOCK
+        rng = np.random.default_rng(22)
+        steps, lrs = [], []
+        for step in range(20):
+            grad = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=policy.flat.size)
+            grad[rng.random(grad.size) < 0.05] = 0.0
+            steps.append(grad)
+            lrs.append(1e-3 * (1.0 + step) / 7.0)
+        expected = reference_adam_steps(
+            policy.state(), [dict(policy.tensor_views(g)) for g in steps], lrs
+        )
+        opt = Adam(policy.flat)
+        for grad, lr in zip(steps, lrs):
+            opt.apply(policy.flat, grad, lr)
+        for name, tensor in policy.params.items():
+            np.testing.assert_array_equal(tensor, expected[name], err_msg=name)
 
 
 class TestCollect:
@@ -239,6 +275,32 @@ class TestPpoUpdate:
     def batch_of(self, policy, env, n=2, seed=0):
         return collect(env, policy, EliteBuffer(3), n, np.random.default_rng(seed))
 
+    def test_reused_forward_equals_fresh_forward(self):
+        def arrays(out, cache):
+            yield from out.logits + out.probs + out.log_probs
+            yield out.pooled
+            yield np.array(out.value)
+            for entry in cache.values():
+                yield from entry if isinstance(entry, tuple) else (entry,)
+
+        env = make_env()
+        policy = make_policy(seed=14)
+        batch = self.batch_of(policy, env)
+        for sample in batch.samples:
+            kept = list(arrays(*sample.forward))
+            fresh = list(arrays(*policy.forward_cached(sample.obs)))
+            assert len(kept) == len(fresh)
+            for a, b in zip(kept, fresh):
+                np.testing.assert_array_equal(a, b)
+        reused, reused_grads = loss_and_grads(
+            policy, batch, small_cfg(), reuse_forward=True
+        )
+        recomputed, fresh_grads = loss_and_grads(policy, batch, small_cfg())
+        assert reused.total_loss == recomputed.total_loss
+        assert reused.mean_ratio == recomputed.mean_ratio
+        for name in policy.params:
+            np.testing.assert_array_equal(reused_grads[name], fresh_grads[name])
+
     def test_ratio_is_one_on_first_epoch(self):
         env = make_env()
         policy = make_policy(seed=4)
@@ -280,7 +342,7 @@ class TestPpoUpdate:
             value_old=out.value,
         )
         cfg = small_cfg(entropy_coef=0.0)
-        optimizer = Adam(policy.params)
+        optimizer = Adam(policy.flat)
         before, _ = policy.action_logprob_entropy(out, action)
         ppo_update(policy, RolloutBatch((sample,)), cfg, lr=1e-3, optimizer=optimizer)
         after, _ = policy.action_logprob_entropy(policy.forward(obs), action)
@@ -290,7 +352,7 @@ class TestPpoUpdate:
         env = make_env()
         policy = make_policy(seed=7)
         batch = self.batch_of(policy, env, seed=7)
-        optimizer = Adam(policy.params)
+        optimizer = Adam(policy.flat)
         reports = ppo_update(policy, batch, small_cfg(), lr=1e-3, optimizer=optimizer)
         assert len(reports) == 2
         assert optimizer.step_count == 2
@@ -303,7 +365,7 @@ class TestPpoUpdate:
         # Randomize output layers so every gradient path carries signal.
         for name in policy.params:
             if name.startswith(("head.", "value.w", "value.b")):
-                policy.params[name] = rng.normal(scale=0.3, size=policy.params[name].shape)
+                policy.params[name][...] = rng.normal(scale=0.3, size=policy.params[name].shape)
 
         samples = []
         for advantage in (0.7, -0.4):
@@ -391,7 +453,7 @@ class TestRunChunk:
         env = make_env(budget=8)
         policy = make_policy(seed=13)
         force_one_hot(policy, (0,) * 16)
-        policy.params["head.0.b"] = np.zeros(3)  # tp head stays uniform
+        policy.params["head.0.b"][...] = np.zeros(3)  # tp head stays uniform
         outcome = run_chunk(
             env,
             policy,

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardsearch.layout import (
     CollectiveKind,
@@ -242,6 +244,57 @@ class TestSimulateGates:
         s = make_strategy(self.model)
         with pytest.raises(ValueError, match="decode"):
             SimRequest(self.model, self.hw, s, context_len=256, phase="prefill")
+
+
+class TestNonFiniteInputs:
+    def test_nan_kernel_overhead_rejected(self):
+        with pytest.raises(ValueError, match="hardware.kernel_overhead"):
+            bare_hw(kernel_overhead=math.nan)
+
+    def test_nan_collective_latency_rejected(self):
+        with pytest.raises(ValueError, match="hardware.per_collective_latency"):
+            bare_hw(per_collective_latency=math.nan)
+
+    def test_infinite_peak_flops_rejected(self):
+        with pytest.raises(ValueError, match="hardware.peak_flops"):
+            bare_hw(peak_flops=math.inf)
+
+    def test_nan_slo_tpot_rejected(self):
+        model = small_model()
+        s = make_strategy(model)
+        with pytest.raises(ValueError, match="simulation.slo_tpot"):
+            request(model, bare_hw(), s, slo=math.nan)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tp=st.sampled_from((1, 2, 4, 8)),
+        ep=st.sampled_from((1, 2, 4, 8)),
+        pp=st.sampled_from((1, 2, 4)),
+        batch=st.sampled_from((1, 8, 64)),
+        peak_flops=st.floats(1e6, 1e20),
+        hbm_bandwidth=st.floats(1e6, 1e16),
+        link_bw=st.floats(1e3, 1e14),
+        kernel_overhead=st.floats(0.0, 1e-2),
+        per_collective_latency=st.floats(0.0, 1e-2),
+    )
+    def test_valid_result_has_finite_positive_figures(
+        self, tp, ep, pp, batch, peak_flops, hbm_bandwidth, link_bw,
+        kernel_overhead, per_collective_latency,
+    ):
+        model = small_model()
+        hw = bare_hw(
+            peak_flops=peak_flops,
+            hbm_bandwidth=hbm_bandwidth,
+            intra_node_bw=link_bw,
+            inter_node_bw=link_bw,
+            kernel_overhead=kernel_overhead,
+            per_collective_latency=per_collective_latency,
+        )
+        s = make_strategy(model, tp=tp, ep=ep, pp=pp, batch=batch)
+        r = simulate(request(model, hw, s, slo=1e9))
+        if r.valid:
+            assert math.isfinite(r.throughput) and r.throughput > 0.0
+            assert math.isfinite(r.tpot_s) and r.tpot_s > 0.0
 
 
 class TestAccounting:
