@@ -26,22 +26,15 @@ from .baselines import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config_path
 from .env import EvalRecord, SearchEnv, load_eval_log
-from .ppo import SearchReport, run_search
+from .ppo import SearchReport, build_report, run_search
 from .simulator import SimRequest, SimResult, explain, simulate
-from .strategy import AxisChoice, Strategy, canonical_fused_ops, megatron_fine_dims
+from .strategy import AXIS_BY_NAME, AxisChoice, Strategy, canonical_fused_ops, megatron_fine_dims
 
 CONFIG_ENV_VAR = "SHARDSEARCH_CONFIG"
 
 EXIT_OK = 0
 EXIT_TOOL_ERROR = 1
 EXIT_INVALID_STRATEGY = 2
-
-_AXIS_BY_NAME = {
-    "unsharded": AxisChoice.UNSHARDED,
-    "dim0": AxisChoice.DIM0,
-    "dim1": AxisChoice.DIM1,
-}
-
 
 class CliError(RuntimeError):
     """Tool-level failure: bad flags, bad inputs, unusable run directory."""
@@ -162,13 +155,12 @@ def _fine_dims(
                 f"--dims names unknown operator {name!r}; "
                 f"controlled operators: {', '.join(space.op_names)}"
             )
-        axis = _AXIS_BY_NAME.get(axis_text)
-        if axis is None:
+        if axis_text not in AXIS_BY_NAME:
             raise CliError(
                 f"--dims axis for {name} must be one of "
-                f"{', '.join(_AXIS_BY_NAME)}; got {axis_text!r}"
+                f"{', '.join(AXIS_BY_NAME)}; got {axis_text!r}"
             )
-        chosen[name] = axis
+        chosen[name] = AXIS_BY_NAME[axis_text]
     return tuple(chosen[name] for name in space.op_names)
 
 
@@ -236,13 +228,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if result.valid else EXIT_INVALID_STRATEGY
 
 
-def _best_valid_record(records: Sequence[EvalRecord]) -> EvalRecord | None:
-    """Highest raw throughput among valid records, earliest wins ties."""
-    best = None
-    for record in records:
-        if record.valid and (best is None or record.raw > best.raw):
-            best = record
-    return best
+def _raw_report(algo: str, seed: int | None, records: Sequence[EvalRecord]) -> SearchReport:
+    """Best valid record by raw throughput and the best-so-far curve of a log."""
+    return build_report(
+        algo, seed, records, restarts=(), budget=len(records), wall_clock_s=0.0, by_raw=True
+    )
 
 
 def _summarize(algo: str, budget: int, rows: list[dict]) -> dict:
@@ -342,12 +332,12 @@ def cmd_search(args: argparse.Namespace) -> int:
             (run_dir / "report.json").write_text(
                 report.to_json() + "\n", encoding="utf-8"
             )
-            best = _best_valid_record(env.eval_log)
+            best = _raw_report(algo, seed, env.eval_log)
             rows.append(
                 {
                     "seed": seed,
-                    "best_raw": best.raw if best else 0.0,
-                    "best_vector": list(best.vector) if best else None,
+                    "best_raw": best.best_raw,
+                    "best_vector": list(best.best_vector) if best.best_valid else None,
                     "evals": report.evals,
                 }
             )
@@ -395,12 +385,8 @@ def _read_run(path: Path) -> _RunDir:
         if not log.is_file():
             continue
         records = load_eval_log(log)
-        best = 0.0
-        curve = []
-        for record in records:
-            if record.valid and record.raw > best:
-                best = record.raw
-            curve.append(best)
+        if not records:
+            raise CliError(f"{log} holds no records")
         seed = None
         report_path = sub / "report.json"
         if report_path.is_file():
@@ -411,7 +397,8 @@ def _read_run(path: Path) -> _RunDir:
                     f"reports {report.evals} evals"
                 )
             seed = report.seed
-        seeds.append(_SeedRun(seed=seed, best_raw=best, curve=tuple(curve)))
+        best = _raw_report(str(summary["algorithm"]), seed, records)
+        seeds.append(_SeedRun(seed=seed, best_raw=best.best_raw, curve=best.best_so_far_raw()))
     if not seeds:
         raise CliError(f"{path} contains no eval logs")
     seeds.sort(key=lambda s: (s.seed is None, s.seed if s.seed is not None else 0))

@@ -25,7 +25,7 @@ from .baselines import SaConfig
 from .env import RewardConfig
 from .model import HardwareSpec, ModelSpec
 from .ppo import PpoConfig
-from .strategy import ActionSpaceSpec, AxisChoice, canonical_fused_ops
+from .strategy import AXIS_BY_NAME, ActionSpaceSpec, AxisChoice, canonical_fused_ops
 
 
 class ConfigError(ValueError):
@@ -96,19 +96,12 @@ def _as_int_tuple(value: Any, path: str) -> tuple[int, ...]:
     return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
-_AXIS_NAMES = {
-    "unsharded": AxisChoice.UNSHARDED,
-    "dim0": AxisChoice.DIM0,
-    "dim1": AxisChoice.DIM1,
-}
-
-
 def _as_axis(value: Any, path: str) -> AxisChoice:
-    if not isinstance(value, str) or value not in _AXIS_NAMES:
+    if not isinstance(value, str) or value not in AXIS_BY_NAME:
         raise ConfigError(
-            f"{path} must be one of {sorted(_AXIS_NAMES)}, got {value!r}"
+            f"{path} must be one of {sorted(AXIS_BY_NAME)}, got {value!r}"
         )
-    return _AXIS_NAMES[value]
+    return AXIS_BY_NAME[value]
 
 
 def _mapping_section(data: Mapping[str, Any], name: str) -> dict[str, Any]:
@@ -205,23 +198,23 @@ def _parse_space(section: Mapping[str, Any], model: ModelSpec) -> ActionSpaceSpe
         if key in section:
             kwargs[field] = _as_int_tuple(section[key], f"action_space.{key}")
 
+    # The searched operators default to all of the model's own operators.
     known_ops = [op.name for op in canonical_fused_ops(model)]
-    if "ops" in section:
-        raw_ops = section["ops"]
-        if raw_ops == "all":
-            ops = tuple(known_ops)
-        elif isinstance(raw_ops, list):
-            ops = tuple(_as_str(v, f"action_space.ops[{i}]") for i, v in enumerate(raw_ops))
-        else:
+    raw_ops = section.get("ops", "all")
+    if raw_ops == "all":
+        ops = tuple(known_ops)
+    elif isinstance(raw_ops, list):
+        ops = tuple(_as_str(v, f"action_space.ops[{i}]") for i, v in enumerate(raw_ops))
+    else:
+        raise ConfigError(
+            f"action_space.ops must be 'all' or a list of operator names, got {raw_ops!r}"
+        )
+    for name in ops:
+        if name not in known_ops:
             raise ConfigError(
-                f"action_space.ops must be 'all' or a list of operator names, got {raw_ops!r}"
+                f"action_space.ops names unknown operator '{name}'; known: {known_ops}"
             )
-        for name in ops:
-            if name not in known_ops:
-                raise ConfigError(
-                    f"action_space.ops names unknown operator '{name}'; known: {known_ops}"
-                )
-        kwargs["op_names"] = ops
+    kwargs["op_names"] = ops
 
     if "pins" in section:
         raw_pins = section["pins"]

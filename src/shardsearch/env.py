@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .model import HardwareSpec, ModelSpec
 from .simulator import SimRequest, simulate
@@ -26,10 +26,6 @@ from .strategy import ActionSpaceSpec, Strategy, decode_strategy
 
 class BudgetExhausted(RuntimeError):
     """All simulator calls of the run's budget have been spent."""
-
-
-class NoEvaluations(RuntimeError):
-    """Selection requested before any strategy was evaluated."""
 
 
 @dataclass(frozen=True)
@@ -179,20 +175,6 @@ class SearchEnv:
             self.best_raw = raw  # after reward computation: bonus is exclusive
         return reward, raw, result.valid
 
-    def final_selection(self) -> tuple[Strategy, EvalRecord]:
-        """Highest-reward evaluation, earliest wins ties.
-
-        When nothing was valid this still returns the least-bad record so the
-        caller can report what happened; check ``record.valid``.
-        """
-        if not self.eval_log:
-            raise NoEvaluations("no strategies were evaluated")
-        best = self.eval_log[0]
-        for record in self.eval_log[1:]:
-            if record.reward > best.reward:
-                best = record
-        return decode_strategy(best.vector, self.space), best
-
 
 def load_eval_log(path: str | Path) -> list[EvalRecord]:
     records = []
@@ -202,30 +184,3 @@ def load_eval_log(path: str | Path) -> list[EvalRecord]:
             if line:
                 records.append(EvalRecord.from_json(line))
     return records
-
-
-def replay_eval_log(
-    records: Sequence[EvalRecord],
-    model: ModelSpec,
-    hw: HardwareSpec,
-    space: ActionSpaceSpec,
-    context_len: int,
-    slo_tpot: float = 0.050,
-) -> Iterator[tuple[EvalRecord, float]]:
-    """Re-simulate each logged vector, yielding (record, recomputed raw).
-
-    The simulator is deterministic, so any mismatch means the log does not
-    belong to this workload configuration.
-    """
-    for record in records:
-        strategy = decode_strategy(record.vector, space)
-        result = simulate(
-            SimRequest(
-                model=model,
-                hw=hw,
-                strategy=strategy,
-                context_len=context_len,
-                slo_tpot=slo_tpot,
-            )
-        )
-        yield record, (result.throughput if result.valid else 0.0)

@@ -155,30 +155,6 @@ def transition(
     raise LayoutError("unreachable transition")  # pragma: no cover
 
 
-def _shard_extent(op: FusedOpDescriptor, axis: AxisChoice, model: ModelSpec) -> int:
-    """Size of the dimension an axis choice splits, in shardable units.
-
-    Attention operators shard at head granularity, matmuls at element
-    granularity of the chosen weight axis.
-    """
-    h = model.hidden_dim
-    extents = {
-        "embedding": {AxisChoice.DIM0: model.vocab_size, AxisChoice.DIM1: h},
-        "qkv_proj": {AxisChoice.DIM0: h, AxisChoice.DIM1: model.num_heads},
-        "attn_core": {AxisChoice.DIM1: model.num_heads},
-        "attn_out_proj": {AxisChoice.DIM0: model.num_heads, AxisChoice.DIM1: h},
-        "expert_ffn1": {AxisChoice.DIM0: h, AxisChoice.DIM1: model.ffn_dim},
-        "expert_ffn2": {AxisChoice.DIM0: model.ffn_dim, AxisChoice.DIM1: h},
-        "shared_ffn1": {AxisChoice.DIM0: h, AxisChoice.DIM1: model.ffn_dim},
-        "shared_ffn2": {AxisChoice.DIM0: model.ffn_dim, AxisChoice.DIM1: h},
-        "lm_head": {AxisChoice.DIM0: h, AxisChoice.DIM1: model.vocab_size},
-    }
-    try:
-        return extents[op.name][axis]
-    except KeyError:
-        raise LayoutError(f"{op.name} has no shardable extent on {axis.name}") from None
-
-
 def _required_input(
     op: FusedOpDescriptor, axis: AxisChoice, tp: int
 ) -> TensorLayout | None:
@@ -201,7 +177,6 @@ def infer_output_layout(
     op: FusedOpDescriptor,
     input_layout: TensorLayout,
     axis: AxisChoice,
-    model: ModelSpec,
 ) -> TensorLayout:
     """Output state produced by ``op`` under ``axis`` given a compatible input.
 
@@ -214,7 +189,7 @@ def infer_output_layout(
     if not op.admits(axis):
         raise LayoutError(f"{op.name} does not admit shard axis {axis.name}")
     if axis is not AxisChoice.UNSHARDED and tp > 1:
-        extent = _shard_extent(op, axis, model)
+        extent = op.extents[axis]
         if extent % tp != 0:
             raise LayoutError(
                 f"{op.name} cannot shard {axis.name}: extent {extent} not divisible by tp={tp}"
@@ -280,40 +255,16 @@ class LayerPlan:
         return "\n".join(lines)
 
 
-# Activation width (feature elements per token) after each operator.
-def _out_features(op_name: str, model: ModelSpec) -> int:
-    return {
-        "embedding": model.hidden_dim,
-        "qkv_proj": model.qkv_out_dim,
-        "kv_cache_io": model.qkv_out_dim,
-        "attn_core": model.num_heads * model.head_dim,
-        "attn_out_proj": model.hidden_dim,
-        "router_gate": model.num_experts,
-        "expert_ffn1": model.ffn_dim,
-        "expert_ffn2": model.hidden_dim,
-        "shared_ffn1": model.ffn_dim,
-        "shared_ffn2": model.hidden_dim,
-        "final_norm": model.hidden_dim,
-        "lm_head": model.vocab_size,
-    }[op_name]
-
-
 class _Walker:
     """Mutable cursor over one operator segment: layout, width, pending comm."""
 
     def __init__(
-        self,
-        model: ModelSpec,
-        strategy: Strategy,
-        tokens: float,
-        tp_wire: Interconnect,
-        dtype_bytes: int,
+        self, model: ModelSpec, strategy: Strategy, tokens: float, tp_wire: Interconnect
     ) -> None:
-        self.model = model
         self.strategy = strategy
         self.tokens = tokens
         self.tp_wire = tp_wire
-        self.dtype = dtype_bytes
+        self.dtype = model.dtype_bytes
         self.state = TensorLayout.replicated(strategy.tp)
         self.features = model.hidden_dim
         self.pending: list[CollectiveOp] = []
@@ -335,13 +286,13 @@ class _Walker:
         required = _required_input(op, axis, self.strategy.tp)
         if required is not None:
             self.reconcile(required, f"feed {op.name}")
-        out = infer_output_layout(op, self.state, axis, self.model)
+        out = infer_output_layout(op, self.state, axis)
         self.steps.append(
             PlanStep(op, axis, self.state, out, tuple(self.pending), self.tokens)
         )
         self.pending = []
         self.state = out
-        self.features = _out_features(op.name, self.model)
+        self.features = op.out_features
 
 
 def plan_layer(
@@ -364,8 +315,7 @@ def plan_layer(
     tp, ep = strategy.tp, strategy.ep
     tp_wire = Interconnect.INTRA_NODE if tp <= node_size else Interconnect.INTER_NODE
     ep_wire = Interconnect.INTRA_NODE if tp * ep <= node_size else Interconnect.INTER_NODE
-    names = [op.name for op in ops]
-    if any(name.startswith("expert_ffn") for name in names):
+    if any(op.op_class is OpClass.MOE_MATMUL for op in ops):
         # Segments without expert ops (embedding, lm head) are planned under
         # any ep; the degree constraints bind where the routed branch lives.
         if ep > model.num_experts:
@@ -373,12 +323,11 @@ def plan_layer(
         if model.num_experts % ep != 0:
             raise LayoutError(f"ep={ep} does not divide num_experts={model.num_experts}")
 
-    by_name = {op.name: op for op in ops}
-    walker = _Walker(model, strategy, float(batch_tokens), tp_wire, model.dtype_bytes)
+    walker = _Walker(model, strategy, float(batch_tokens), tp_wire)
 
     # Linear prefix: everything up to the router feeds the next op directly.
     branch_point = next(
-        (i for i, name in enumerate(names) if name == "router_gate"), len(names)
+        (i for i, op in enumerate(ops) if op.op_class is OpClass.ROUTER), len(ops)
     )
     for op in ops[:branch_point]:
         walker.run_op(op)
@@ -386,55 +335,47 @@ def plan_layer(
             # Residual add and the following norm consume full activations.
             walker.reconcile(TensorLayout.replicated(tp), "attention residual")
 
-    if branch_point < len(names):
-        walker.run_op(by_name["router_gate"])
+    if branch_point < len(ops):
+        walker.run_op(ops[branch_point])
         walker.state = TensorLayout.replicated(tp)  # branch from the pre-router activation
-        walker.features = model.hidden_dim
+        branch = ops[branch_point + 1 :]
 
         # Routed branch. Dispatch scatters each token to its experts across
         # the EP group; with balanced routing every device then holds
         # batch * experts_per_token / ep token slots.
         routed_tokens = batch_tokens * model.experts_per_token / ep
         dispatch_bytes = routed_tokens * model.hidden_dim * model.dtype_bytes
-        expert_walker = _Walker(model, strategy, routed_tokens, tp_wire, model.dtype_bytes)
+        expert_walker = _Walker(model, strategy, routed_tokens, tp_wire)
         if ep > 1:
             expert_walker.pending.append(
                 CollectiveOp(
                     CollectiveKind.ALL_TO_ALL, ep, dispatch_bytes, ep_wire, "expert dispatch"
                 )
             )
-        expert_walker.run_op(by_name["expert_ffn1"])
-        expert_walker.run_op(by_name["expert_ffn2"])
-        expert_exit: list[CollectiveOp] = list(expert_walker.pending)
+        for op in branch:
+            if op.op_class is OpClass.MOE_MATMUL:
+                expert_walker.run_op(op)
         if ep > 1:
-            expert_exit.append(
+            expert_walker.pending.append(
                 CollectiveOp(
                     CollectiveKind.ALL_TO_ALL, ep, dispatch_bytes, ep_wire, "expert combine"
                 )
             )
-        expert_state = expert_walker.state
 
-        # Shared branch, computed from the same replicated layer input.
-        shared_state = None
-        shared_steps: tuple[PlanStep, ...] = ()
-        shared_exit: list[CollectiveOp] = []
-        if "shared_ffn1" in by_name:
-            shared_walker = _Walker(
-                model, strategy, float(batch_tokens), tp_wire, model.dtype_bytes
-            )
-            shared_walker.run_op(by_name["shared_ffn1"])
-            shared_walker.run_op(by_name["shared_ffn2"])
-            shared_state = shared_walker.state
-            shared_steps = tuple(shared_walker.steps)
-            shared_exit = list(shared_walker.pending)
+        # Shared branch (the other ops after the router), computed from the
+        # same replicated layer input.
+        shared_walker = _Walker(model, strategy, float(batch_tokens), tp_wire)
+        for op in branch:
+            if op.op_class is not OpClass.MOE_MATMUL:
+                shared_walker.run_op(op)
 
-        walker.steps.extend(expert_walker.steps)
-        walker.pending.extend(expert_exit)
-        walker.steps.extend(shared_steps)
-        walker.pending.extend(shared_exit)
+        for branch_walker in (expert_walker, shared_walker):
+            walker.steps.extend(branch_walker.steps)
+            walker.pending.extend(branch_walker.pending)
 
+        expert_state, shared_state = expert_walker.state, shared_walker.state
         hidden_bytes = batch_tokens * model.hidden_dim * model.dtype_bytes
-        if shared_state is not None and shared_state != expert_state:
+        if shared_walker.steps and shared_state != expert_state:
             # Branch outputs add elementwise, so they must agree; replicate
             # each side before the sum when they disagree.
             for state, label in ((expert_state, "routed"), (shared_state, "shared")):

@@ -10,7 +10,7 @@ small enough that explicit gradients are simpler than an autodiff dependency,
 and they stay directly checkable against finite differences. Parameters live
 in one contiguous float64 vector (``flat``); ``params`` maps each tensor name
 to a view into it, so the optimizer steps the whole network as one vector
-while the checkpoint codec and gradient checks still address named tensors.
+while the gradient checks still address named tensors.
 Gradients use the same layout: ``backward`` writes into views of one flat
 gradient vector.
 
@@ -26,7 +26,6 @@ Design notes:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -313,25 +312,6 @@ class PolicyNetwork:
     def num_parameters(self) -> int:
         return self.flat.size
 
-    def state(self) -> dict[str, np.ndarray]:
-        """Copies of all parameter tensors, checkpoint-ready."""
-        return {name: t.copy() for name, t in self.params.items()}
-
-    def load_state(self, tensors: Mapping[str, np.ndarray]) -> None:
-        """Replace all parameters; names and shapes must match exactly."""
-        if set(tensors) != set(self.params):
-            missing = sorted(set(self.params) - set(tensors))
-            extra = sorted(set(tensors) - set(self.params))
-            raise ValueError(f"state mismatch: missing={missing} extra={extra}")
-        for name, current in self.params.items():
-            incoming = np.asarray(tensors[name], dtype=np.float64)
-            if incoming.shape != current.shape:
-                raise ValueError(
-                    f"shape mismatch for {name}: "
-                    f"expected {current.shape}, got {incoming.shape}"
-                )
-            current[...] = incoming
-
     def check_finite(self) -> None:
         """Raise NumericsError if any parameter went non-finite.
 
@@ -537,15 +517,8 @@ class PolicyNetwork:
         self, out: PolicyOutput, rng: np.random.Generator
     ) -> tuple[tuple[int, ...], float, float]:
         """Draw one sub-action per head; returns (action, logprob, entropy)."""
-        action: list[int] = []
-        logprob = 0.0
-        entropy = 0.0
-        for log_probs, probs in zip(out.log_probs, out.probs):
-            idx = sample_categorical(probs, rng)
-            action.append(idx)
-            logprob += float(log_probs[idx])
-            entropy += float(-np.sum(probs * log_probs))
-        return tuple(action), logprob, entropy
+        action = tuple(sample_categorical(probs, rng) for probs in out.probs)
+        return (action, *self.action_logprob_entropy(out, action))
 
     def action_logprob_entropy(
         self, out: PolicyOutput, action: Sequence[int]
@@ -564,65 +537,3 @@ class PolicyNetwork:
 def confidence(out: PolicyOutput) -> np.ndarray:
     """Max categorical probability per head; 1.0 for single-choice heads."""
     return np.array([float(np.max(p)) for p in out.probs])
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-#
-# Flat binary layout, little-endian:
-#   magic "SSPL" | u32 version | u32 tensor count
-#   per tensor: u16 name length | name utf-8 | u8 ndim | u32 dims... |
-#               float64 values, C row-major
-# Every field is fixed-width, so the format is seekable and diffable.
-
-CHECKPOINT_MAGIC = b"SSPL"
-CHECKPOINT_VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """Checkpoint bytes do not match the documented layout."""
-
-
-def save_checkpoint(path: str, tensors: Mapping[str, np.ndarray]) -> None:
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(tensors))]
-    for name, tensor in tensors.items():
-        raw = name.encode("utf-8")
-        arr = np.ascontiguousarray(tensor, dtype=np.float64)
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes(order="C"))
-    with open(path, "wb") as sink:
-        sink.write(b"".join(chunks))
-
-
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    with open(path, "rb") as source:
-        data = source.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError("bad magic: not a policy checkpoint")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    offset = 12
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", data, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        end = offset + 8 * size
-        if end > len(data):
-            raise CheckpointError(f"truncated tensor data for {name!r}")
-        values = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape)
-        tensors[name] = values.astype(np.float64)
-        offset = end
-    if offset != len(data):
-        raise CheckpointError("trailing bytes after final tensor")
-    return tensors

@@ -28,6 +28,7 @@ while steady-state throughput is set by the slowest stage cycle:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +43,7 @@ from .layout import (
     plan_layer,
 )
 from .model import HardwareSpec, ModelSpec, count_parameters
-from .strategy import AxisChoice, FusedOpDescriptor, Strategy, canonical_fused_ops
+from .strategy import AxisChoice, CostKind, FusedOpDescriptor, Strategy, canonical_fused_ops
 
 
 class InvalidReason(str, Enum):
@@ -173,54 +174,57 @@ def _op_cost(
     leaving a large matmul unsharded hurts.
     """
     op, axis, t = step.op, step.axis, step.tokens
-    h, d = model.hidden_dim, model.dtype_bytes
+    d = model.dtype_bytes
     s = strategy.tp if axis is not AxisChoice.UNSHARDED else 1
-    name = op.name
+    kind = op.cost
 
-    def matmul(in_dim: int, out_dim: int, weight_copies: float = 1.0) -> tuple[float, float]:
+    if kind is CostKind.MATMUL or kind is CostKind.EXPERT_MATMUL:
+        weight_copies = 1.0
+        if kind is CostKind.EXPERT_MATMUL:
+            # Every local expert whose queue is non-empty pays a full weight
+            # read; with balanced routing at most one expert per token slot.
+            local_experts = model.num_experts / strategy.ep
+            weight_copies = min(local_experts, t) if t > 0 else 0.0
         # Weights and arithmetic split across the group; activation traffic
         # is charged at full logical shape on every device, so plans with
         # the same coarse degrees differ only through their collectives.
+        in_dim, out_dim = op.in_features, op.out_features
         flops = 2.0 * t * in_dim * out_dim / s
         weight = weight_copies * in_dim * out_dim * d / s
-        act_bytes = t * (in_dim + out_dim) * d
-        return flops, weight + act_bytes
-
-    if name == "embedding":
+        return flops, weight + t * (in_dim + out_dim) * d
+    if kind is CostKind.LOOKUP:
         # Token lookup touches one row per token: negligible flops, row reads.
-        return 0.0, 2.0 * t * h * d / s
-    if name == "qkv_proj":
-        return matmul(h, model.qkv_out_dim)
-    if name == "kv_cache_io":
+        return 0.0, 2.0 * t * op.out_features * d / s
+    if kind is CostKind.KV_IO:
         share = _kv_share(model, strategy)
         return 0.0, t * 2.0 * model.num_kv_heads * model.head_dim * d / share
-    if name == "attn_core":
+    if kind is CostKind.ATTENTION:
         heads_local = model.num_heads / s
         share = _kv_share(model, strategy)
         kv_read = t * context_len * 2.0 * (model.num_kv_heads / share) * model.head_dim * d
         q_io = 2.0 * t * heads_local * model.head_dim * d
         flops = 4.0 * t * heads_local * model.head_dim * context_len
         return flops, kv_read + q_io
-    if name == "attn_out_proj":
-        return matmul(model.num_heads * model.head_dim, h)
-    if name == "router_gate":
-        return matmul(h, model.num_experts)
-    if name in ("expert_ffn1", "expert_ffn2"):
-        local_experts = model.num_experts / strategy.ep
-        # Every local expert whose queue is non-empty pays a full weight
-        # read; with balanced routing at most one expert per token slot.
-        active = min(local_experts, t) if t > 0 else 0.0
-        dims = (h, model.ffn_dim) if name == "expert_ffn1" else (model.ffn_dim, h)
-        return matmul(*dims, weight_copies=active)
-    if name == "shared_ffn1":
-        return matmul(h, model.ffn_dim)
-    if name == "shared_ffn2":
-        return matmul(model.ffn_dim, h)
-    if name == "final_norm":
+    if kind is CostKind.NORM:
+        h = op.out_features
         return 8.0 * t * h, 2.0 * t * h * d
-    if name == "lm_head":
-        return matmul(h, model.vocab_size)
-    raise ValueError(f"no cost model for op {name}")
+    raise ValueError(f"no cost model for {kind} of op {op.name}")
+
+
+@functools.cache
+def _segments(model: ModelSpec) -> tuple[tuple[FusedOpDescriptor, ...], ...]:
+    """(pre, layer, post) operator segments of one decode step.
+
+    The per-layer ops form the layer stack; the once-per-model ops before
+    the first of them run on the first stage, the rest on the last.
+    """
+    ops = canonical_fused_ops(model)
+    first = next(i for i, op in enumerate(ops) if op.per_layer)
+    return (
+        ops[:first],
+        tuple(op for op in ops if op.per_layer),
+        tuple(op for op in ops[first:] if not op.per_layer),
+    )
 
 
 def _plan_times(
@@ -262,10 +266,7 @@ def simulate(req: SimRequest) -> SimResult:
             f"needs {s.world_size} devices, budget is {hw.device_budget}",
         )
 
-    ops = canonical_fused_ops(model)
-    layer_ops = tuple(op for op in ops if op.per_layer)
-    pre_ops = (ops[0],)  # embedding
-    post_ops = tuple(op for op in ops if not op.per_layer and op.name != "embedding")
+    pre_ops, layer_ops, post_ops = _segments(model)
     try:
         if model.num_layers % s.pp != 0:
             raise LayoutError(
@@ -368,9 +369,7 @@ def explain(req: SimRequest) -> str:
     )
     if result.valid:
         lines.append(f"throughput: {result.throughput:.4f} tokens/s/chip")
-    ops = canonical_fused_ops(model)
-    layer_ops = tuple(op for op in ops if op.per_layer)
-    plan = plan_layer(model, layer_ops, s, s.batch, hw.node_size)
+    plan = plan_layer(model, _segments(model)[1], s, s.batch, hw.node_size)
     lines.append("per-layer plan:")
     lines.extend("  " + ln for ln in plan.describe().splitlines())
     return "\n".join(lines)

@@ -1,5 +1,9 @@
 """Strategy space: coarse parallelism degrees plus per-operator shard axes.
 
+The operator table (``canonical_fused_ops``) holds every per-operator fact
+in one row: layout class, cost kind, feature widths, the extent of each
+admissible shard axis and the Megatron reference axis.
+
 A deployment strategy is the tuple (tp, ep, pp, batch) together with one
 shard-axis choice per fused operator. Strategies round-trip losslessly
 through a flat integer index vector, which is the representation consumed by
@@ -8,8 +12,10 @@ the search algorithms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from enum import IntEnum
+from enum import Enum, IntEnum
+from typing import Mapping
 
 from .model import ModelSpec
 
@@ -28,6 +34,10 @@ class AxisChoice(IntEnum):
     DIM1 = 2
 
 
+# The one spelling of axis names in configs, flags and printed plans.
+AXIS_BY_NAME = {axis.name.lower(): axis for axis in AxisChoice}
+
+
 class OpClass(IntEnum):
     """Operator families the layout planner knows how to propagate."""
 
@@ -38,55 +48,103 @@ class OpClass(IntEnum):
     ELEMENTWISE = 4
 
 
+class CostKind(Enum):
+    """Which roofline formula the simulator prices an operator with."""
+
+    MATMUL = "matmul"  # weights [in, out], split tp ways when sharded
+    EXPERT_MATMUL = "expert_matmul"  # one weight read per busy local expert
+    LOOKUP = "lookup"  # embedding row reads, no arithmetic
+    KV_IO = "kv_io"  # KV cache append
+    ATTENTION = "attention"  # score and mix against the cached context
+    NORM = "norm"
+
+
 @dataclass(frozen=True)
 class FusedOpDescriptor:
-    """One fused operator of the per-token decode graph.
+    """One fused operator of the per-token decode graph, sized for one model.
 
-    shardable_axes lists the axes an operator can meaningfully split over the
-    tensor-parallel group; UNSHARDED is always allowed and never listed.
-    Operators with per_layer=True occur once per transformer layer, the rest
-    once per model.
+    ``extents`` maps each shard axis the operator admits to the size of the
+    dimension it splits over the tensor-parallel group (attention splits at
+    head granularity, matmuls at element granularity); UNSHARDED is always
+    admitted and never listed. ``in_features`` and ``out_features`` are the
+    activation widths per token before and after the operator.
+    ``megatron_axis`` is the operator's axis in the textbook 1-D
+    tensor-parallel layout, None when it has none. Operators with
+    per_layer=True occur once per transformer layer, the rest once per model.
     """
 
     name: str
     op_class: OpClass
-    shardable_axes: tuple[AxisChoice, ...]
+    cost: CostKind
     per_layer: bool
+    in_features: int
+    out_features: int
+    extents: Mapping[AxisChoice, int]
+    megatron_axis: AxisChoice | None = None
 
     def admits(self, axis: AxisChoice) -> bool:
-        return axis is AxisChoice.UNSHARDED or axis in self.shardable_axes
+        return axis is AxisChoice.UNSHARDED or axis in self.extents
 
 
-_BOTH = (AxisChoice.DIM0, AxisChoice.DIM1)
+_U, _D0, _D1 = AxisChoice.UNSHARDED, AxisChoice.DIM0, AxisChoice.DIM1
+_DENSE, _MOE, _ATTN = OpClass.DENSE_MATMUL, OpClass.MOE_MATMUL, OpClass.ATTENTION_CORE
+_ROUTER, _ELEM = OpClass.ROUTER, OpClass.ELEMENTWISE
 
-# Canonical fused-operator sequence of one decode step. Order matters: the
+# Canonical fused-operator table of one decode step. Order matters: the
 # planner walks it as the dataflow order within a layer, with the four
 # non-per-layer ops forming the pre/post segments around the layer stack.
-_CANONICAL_OPS = (
-    FusedOpDescriptor("embedding", OpClass.DENSE_MATMUL, _BOTH, per_layer=False),
-    FusedOpDescriptor("qkv_proj", OpClass.DENSE_MATMUL, _BOTH, per_layer=True),
-    FusedOpDescriptor("kv_cache_io", OpClass.ELEMENTWISE, (), per_layer=True),
-    FusedOpDescriptor("attn_core", OpClass.ATTENTION_CORE, (AxisChoice.DIM1,), per_layer=True),
-    FusedOpDescriptor("attn_out_proj", OpClass.DENSE_MATMUL, _BOTH, per_layer=True),
-    FusedOpDescriptor("router_gate", OpClass.ROUTER, (), per_layer=True),
-    FusedOpDescriptor("expert_ffn1", OpClass.MOE_MATMUL, _BOTH, per_layer=True),
-    FusedOpDescriptor("expert_ffn2", OpClass.MOE_MATMUL, _BOTH, per_layer=True),
-    FusedOpDescriptor("shared_ffn1", OpClass.DENSE_MATMUL, _BOTH, per_layer=True),
-    FusedOpDescriptor("shared_ffn2", OpClass.DENSE_MATMUL, _BOTH, per_layer=True),
-    FusedOpDescriptor("final_norm", OpClass.ELEMENTWISE, (), per_layer=False),
-    FusedOpDescriptor("lm_head", OpClass.DENSE_MATMUL, _BOTH, per_layer=False),
+# Widths and extents are symbols that canonical_fused_ops resolves per model.
+# The Megatron column is the classic 1-D tensor-parallel hand layout: project
+# QKV and the first FFN matrix on their output axes, contract the following
+# matmul on its input axis so each block ends in a partial sum, and gather
+# logits from a vocab-split LM head. Everything token-routing or
+# normalization related stays replicated.
+_OP_TABLE = (
+    # name           class    cost                    layer  in      out        extents                    megatron
+    ("embedding",     _DENSE,  CostKind.LOOKUP,        False, "vocab", "h",       {_D0: "vocab", _D1: "h"},  _U),
+    ("qkv_proj",      _DENSE,  CostKind.MATMUL,        True,  "h",     "qkv",     {_D0: "h", _D1: "heads"},  _D1),
+    ("kv_cache_io",   _ELEM,   CostKind.KV_IO,         True,  "qkv",   "qkv",     {},                        _U),
+    ("attn_core",     _ATTN,   CostKind.ATTENTION,     True,  "qkv",   "attn",    {_D1: "heads"},            _D1),
+    ("attn_out_proj", _DENSE,  CostKind.MATMUL,        True,  "attn",  "h",       {_D0: "heads", _D1: "h"},  _D0),
+    ("router_gate",   _ROUTER, CostKind.MATMUL,        True,  "h",     "experts", {},                        _U),
+    ("expert_ffn1",   _MOE,    CostKind.EXPERT_MATMUL, True,  "h",     "ffn",     {_D0: "h", _D1: "ffn"},    _D1),
+    ("expert_ffn2",   _MOE,    CostKind.EXPERT_MATMUL, True,  "ffn",   "h",       {_D0: "ffn", _D1: "h"},    _D0),
+    ("shared_ffn1",   _DENSE,  CostKind.MATMUL,        True,  "h",     "ffn",     {_D0: "h", _D1: "ffn"},    _D1),
+    ("shared_ffn2",   _DENSE,  CostKind.MATMUL,        True,  "ffn",   "h",       {_D0: "ffn", _D1: "h"},    _D0),
+    ("final_norm",    _ELEM,   CostKind.NORM,          False, "h",     "h",       {},                        _U),
+    ("lm_head",       _DENSE,  CostKind.MATMUL,        False, "h",     "vocab",   {_D0: "h", _D1: "vocab"},  _D1),
 )
 
-
+@functools.cache
 def canonical_fused_ops(model: ModelSpec) -> tuple[FusedOpDescriptor, ...]:
-    """Fused-operator list for one decode step of ``model``.
+    """Fused-operator table for one decode step of ``model``, built once.
 
     Models without a shared expert drop the shared_ffn pair; everything else
     is always present.
     """
-    if model.has_shared_expert:
-        return _CANONICAL_OPS
-    return tuple(op for op in _CANONICAL_OPS if not op.name.startswith("shared_ffn"))
+    width = {
+        "h": model.hidden_dim,
+        "qkv": model.qkv_out_dim,
+        "attn": model.num_heads * model.head_dim,
+        "heads": model.num_heads,
+        "experts": model.num_experts,
+        "ffn": model.ffn_dim,
+        "vocab": model.vocab_size,
+    }
+    rows = (r for r in _OP_TABLE if model.has_shared_expert or not r[0].startswith("shared_ffn"))
+    return tuple(
+        FusedOpDescriptor(
+            name,
+            op_class,
+            cost,
+            per_layer,
+            width[w_in],
+            width[w_out],
+            {axis: width[extent] for axis, extent in extents.items()},
+            megatron,
+        )
+        for name, op_class, cost, per_layer, w_in, w_out, extents, megatron in rows
+    )
 
 
 # Power-of-two degree ladders. Batch extends to 1024 because decode
@@ -118,7 +176,7 @@ class ActionSpaceSpec:
     ep_domain: tuple[int, ...] = DEFAULT_DEGREE_DOMAIN
     pp_domain: tuple[int, ...] = DEFAULT_DEGREE_DOMAIN
     batch_domain: tuple[int, ...] = DEFAULT_BATCH_DOMAIN
-    op_names: tuple[str, ...] = tuple(op.name for op in _CANONICAL_OPS)
+    op_names: tuple[str, ...] = tuple(row[0] for row in _OP_TABLE)
     pinned: tuple[tuple[str, AxisChoice], ...] = ()
 
     DIM_CHOICES = 3
@@ -263,34 +321,13 @@ def decode_strategy(vector: tuple[int, ...], space: ActionSpaceSpec) -> Strategy
     )
 
 
-# The classic 1-D tensor-parallel hand layout: project QKV and the first FFN
-# matrix on their output axes, contract the following matmul on its input
-# axis so each block ends in a partial sum, and gather logits from a
-# vocab-split LM head. Everything token-routing or normalization related
-# stays replicated.
-_MEGATRON_AXES = {
-    "embedding": AxisChoice.UNSHARDED,
-    "qkv_proj": AxisChoice.DIM1,
-    "kv_cache_io": AxisChoice.UNSHARDED,
-    "attn_core": AxisChoice.DIM1,
-    "attn_out_proj": AxisChoice.DIM0,
-    "router_gate": AxisChoice.UNSHARDED,
-    "expert_ffn1": AxisChoice.DIM1,
-    "expert_ffn2": AxisChoice.DIM0,
-    "shared_ffn1": AxisChoice.DIM1,
-    "shared_ffn2": AxisChoice.DIM0,
-    "final_norm": AxisChoice.UNSHARDED,
-    "lm_head": AxisChoice.DIM1,
-}
-
-
 def megatron_fine_dims(ops: tuple[FusedOpDescriptor, ...]) -> tuple[AxisChoice, ...]:
     """Reference per-op axes of the textbook 1-D tensor-parallel layout.
 
-    Defined for the canonical operator list; unknown op names are an error so
-    a typo cannot silently pin an op UNSHARDED.
+    An operator without a reference axis is an error, so it cannot silently
+    be pinned UNSHARDED.
     """
-    missing = [op.name for op in ops if op.name not in _MEGATRON_AXES]
+    missing = [op.name for op in ops if op.megatron_axis is None]
     if missing:
         raise ValueError(f"no reference axis for ops: {missing}")
-    return tuple(_MEGATRON_AXES[op.name] for op in ops)
+    return tuple(op.megatron_axis for op in ops)

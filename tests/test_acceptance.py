@@ -22,7 +22,7 @@ from shardsearch.baselines import (
     simulated_annealing,
 )
 from shardsearch.config import load_config, packaged_config_path
-from shardsearch.env import RewardConfig, SearchEnv, load_eval_log, replay_eval_log
+from shardsearch.env import RewardConfig, SearchEnv, load_eval_log
 from shardsearch.layout import CollectiveKind, CollectiveOp, Interconnect, plan_layer
 from shardsearch.policy import EliteBuffer, PolicyNetwork
 from shardsearch.ppo import (
@@ -416,15 +416,9 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
         )
     records = load_eval_log(log_path)
     assert len(records) == 30
-    for record, recomputed in replay_eval_log(
-        records,
-        tiny_cfg.model,
-        tiny_cfg.hardware,
-        tiny_cfg.space,
-        tiny_cfg.simulation.context_len,
-        tiny_cfg.simulation.slo_tpot,
-    ):
-        assert record.raw == recomputed
+    for record in records:
+        result = env.evaluate_raw(decode_strategy(record.vector, env.space))
+        assert record.raw == (result.throughput if result.valid else 0.0)
 
 
 def test_reward_shaping_substitution_cases(tiny_cfg):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from shardsearch.cli import CONFIG_ENV_VAR, main
 from shardsearch.config import load_config, packaged_config_path
@@ -284,6 +285,36 @@ class TestSearch:
         assert log.read_bytes() == first
         assert len(load_eval_log(log)) == 50
 
+    def test_default_ops_follow_a_model_without_shared_expert(self, tmp_path, capsys):
+        doc = yaml.safe_load(packaged_config_path("tiny").read_text(encoding="utf-8"))
+        del doc["action_space"]["ops"]
+        config = tmp_path / "no_ops.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out_dir = tmp_path / "ppo"
+        code, _, err = run_cli(
+            ["search", "--config", str(config), "--algo", "ppo", "--budget", "10",
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0, err
+        assert len(load_eval_log(out_dir / "seed_0" / "evals.ndjson")) == 10
+
+    def test_seed_without_valid_record_has_null_best_vector(self, tmp_path, capsys):
+        doc = yaml.safe_load(packaged_config_path("tiny").read_text(encoding="utf-8"))
+        doc["hardware"]["hbm_capacity"] = 1.0
+        config = tmp_path / "no_room.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out_dir = tmp_path / "rw"
+        code, _, _ = run_cli(
+            ["search", "--config", str(config), "--algo", "rw", "--budget", "5",
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["per_seed"][0]["best_raw"] == 0.0
+        assert summary["per_seed"][0]["best_vector"] is None
+
     def test_summary_is_recomputable_from_the_logs(self, tmp_path, capsys):
         out_dir = tmp_path / "rw"
         run_cli(
@@ -392,6 +423,15 @@ class TestReport:
         code, _, err = run_cli(["report", str(out_dir)], capsys)
         assert code == 1
         assert str(log) in err and "reports 20 evals" in err
+
+    def test_empty_log_is_a_tool_error(self, tmp_path, capsys):
+        out_dir = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="1")
+        log = out_dir / "seed_0" / "evals.ndjson"
+        log.write_text("")
+        (out_dir / "seed_0" / "report.json").unlink()
+        code, _, err = run_cli(["report", str(out_dir)], capsys)
+        assert code == 1
+        assert str(log) in err and "no records" in err
 
     def test_missing_run_directory_is_a_tool_error(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nothing")], capsys)

@@ -145,6 +145,13 @@ class TestActionSpaceSection:
         cfg = parse_config(doc)
         assert cfg.space.num_ops == 12
 
+    def test_default_ops_are_the_models_own_operators(self):
+        doc = minimal_doc()
+        doc["model"]["has_shared_expert"] = False
+        cfg = parse_config(doc)
+        assert cfg.space.num_ops == 10
+        assert not any(name.startswith("shared_ffn") for name in cfg.space.op_names)
+
     def test_unknown_op_rejected(self):
         doc = minimal_doc(action_space={"ops": ["qkv_projj"]})
         with pytest.raises(ConfigError, match="qkv_projj"):

@@ -4,13 +4,12 @@ import pytest
 
 from shardsearch.env import (
     BudgetExhausted,
-    NoEvaluations,
     RewardConfig,
     SearchEnv,
     load_eval_log,
-    replay_eval_log,
 )
 from shardsearch.model import HardwareSpec, ModelSpec
+from shardsearch.ppo import build_report
 from shardsearch.strategy import (
     ActionSpaceSpec,
     canonical_fused_ops,
@@ -180,11 +179,16 @@ class TestStep:
         assert len(env.eval_log) == 7
 
 
+def report_of(records):
+    return build_report("test", None, records, restarts=(), budget=8, wall_clock_s=0.0)
+
+
 class TestSelection:
+    """The run's best record is ``build_report``'s pick from the eval log."""
+
     def test_empty_log_raises(self):
-        env = make_env()
-        with pytest.raises(NoEvaluations):
-            env.final_selection()
+        with pytest.raises(ValueError, match="zero evaluations"):
+            report_of(make_env().eval_log)
 
     def test_argmax_by_reward(self):
         env = make_env()
@@ -192,18 +196,19 @@ class TestSelection:
         hi = megatron_vector(env.space, tp=2, batch=16)
         env.step(lo)
         env.step(hi)
-        strategy, record = env.final_selection()
-        assert record.vector == hi
-        assert strategy.batch == 16
-        assert record.valid
+        report = report_of(env.eval_log)
+        assert report.best_vector == hi
+        assert decode_strategy(report.best_vector, env.space).batch == 16
+        assert report.best_valid
 
     def test_ties_break_earliest(self):
         env = make_env()
         vec = megatron_vector(env.space, tp=2, batch=4)
         env.step(vec)  # first sees the improvement bonus
         env.step(vec)  # identical raw, lower reward (b caught up)
-        strategy, record = env.final_selection()
-        assert record.index == 0
+        report = report_of(env.eval_log)
+        assert report.best_reward == env.eval_log[0].reward
+        assert report.best_reward > env.eval_log[1].reward
 
     def test_all_invalid_returns_flagged_first(self):
         env = make_env(hw=small_hw(hbm_capacity=1e4))
@@ -211,10 +216,10 @@ class TestSelection:
         vec_b = megatron_vector(env.space, tp=1, batch=4)
         env.step(vec_a)
         env.step(vec_b)
-        strategy, record = env.final_selection()
-        assert not record.valid
-        assert record.index == 0
-        assert record.vector == vec_a
+        report = report_of(env.eval_log)
+        assert not report.best_valid
+        assert report.best_vector == vec_a
+        assert report.best_reward == env.eval_log[0].reward
 
 
 class TestEvalLog:
@@ -227,9 +232,9 @@ class TestEvalLog:
         records = load_eval_log(log)
         assert [r.index for r in records] == [0, 1, 2, 3]
         assert records == env.eval_log
-        for record, recomputed in replay_eval_log(
-            records, small_model(), small_hw(), env.space, context_len=256
-        ):
+        for record in records:
+            result = env.evaluate_raw(decode_strategy(record.vector, env.space))
+            recomputed = result.throughput if result.valid else 0.0
             assert recomputed == record.raw  # bit-for-bit, not approx
 
     def test_log_appends_across_env_instances(self, tmp_path):

@@ -1,9 +1,14 @@
-"""Golden check: seeded PPO eval logs must not change under refactors.
+"""Golden check: seeded PPO eval logs and two simulator tables must not
+change under refactors.
 
 The files under ``tests/golden/`` hold, for each (config, seed) search at a
 fixed budget, every record's vector, validity, reason and raw throughput.
-Floats are stored by ``repr`` (JSON's float encoding), so they round-trip
-exactly and the comparison is equality, not a tolerance.
+Two tables hold the simulator's verdict (validity, reason, raw throughput and
+tpot) on every point of the tiny config's action space, in
+``itertools.product`` order, and on every point of the Megatron-pinned
+coarse grid of the 1.2T config. Floats are stored by ``repr`` (JSON's float
+encoding), so they round-trip exactly and the comparison is equality, not a
+tolerance.
 
 To rewrite the files after an intended change of behaviour, run
 
@@ -13,6 +18,7 @@ and say in the change log why the logs moved.
 """
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -21,10 +27,13 @@ import pytest
 from shardsearch.config import load_config, packaged_config_path
 from shardsearch.env import SearchEnv
 from shardsearch.ppo import run_search
+from shardsearch.simulator import SimRequest, simulate
+from shardsearch.strategy import canonical_fused_ops, decode_strategy, megatron_fine_dims
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BUDGET = 200
 CASES = (("tiny", 0), ("tiny", 1), ("moe_1p2t_h100", 0))
+TABLES = (("tiny", "full"), ("moe_1p2t_h100", "megatron"))
 
 
 def golden_path(config: str, seed: int) -> Path:
@@ -44,6 +53,48 @@ def search_records(config: str, seed: int) -> list[list]:
     )
     run_search(env, dataclasses.replace(cfg.ppo, budget=BUDGET), seed=seed)
     return [[list(r.vector), r.valid, r.reason, r.raw] for r in env.eval_log]
+
+
+def table_path(config: str, grid: str) -> Path:
+    return GOLDEN_DIR / f"table-{config}-{grid}.json"
+
+
+def table_vectors(config: str, grid: str) -> list[tuple[int, ...]]:
+    """Every point of the full action space, or the Megatron-pinned grid."""
+    cfg = load_config(packaged_config_path(config))
+    sizes = cfg.space.head_sizes
+    if grid == "full":
+        return list(itertools.product(*(range(k) for k in sizes)))
+    ops = canonical_fused_ops(cfg.model)
+    dims_by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
+    tail = tuple(int(dims_by_name[name]) for name in cfg.space.op_names)
+    return [coarse + tail for coarse in itertools.product(*(range(k) for k in sizes[:4]))]
+
+
+def table_records(config: str, grid: str) -> list[list]:
+    cfg = load_config(packaged_config_path(config))
+    rows = []
+    for vector in table_vectors(config, grid):
+        result = simulate(
+            SimRequest(
+                model=cfg.model,
+                hw=cfg.hardware,
+                strategy=decode_strategy(vector, cfg.space),
+                context_len=cfg.simulation.context_len,
+                slo_tpot=cfg.simulation.slo_tpot,
+            )
+        )
+        rows.append(
+            [result.valid, result.invalid_reason.value, result.throughput, result.tpot_s]
+        )
+    return rows
+
+
+@pytest.mark.parametrize("config,grid", TABLES)
+def test_simulator_table_matches_golden(config, grid):
+    expected = json.loads(table_path(config, grid).read_text(encoding="utf-8"))
+    assert expected["points"] == len(expected["records"])
+    assert table_records(config, grid) == expected["records"]
 
 
 @pytest.mark.parametrize("config,seed", CASES)
@@ -67,3 +118,14 @@ if __name__ == "__main__":
             json.dumps(payload) + "\n", encoding="utf-8"
         )
         print(f"wrote {golden_path(config, seed)}")
+    for config, grid in TABLES:
+        records = table_records(config, grid)
+        payload = {
+            "config": config,
+            "grid": grid,
+            "points": len(records),
+            "fields": ["valid", "reason", "raw", "tpot_s"],
+            "records": records,
+        }
+        table_path(config, grid).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        print(f"wrote {table_path(config, grid)}")

@@ -127,31 +127,31 @@ class TestInferOutputLayout:
         self.by_name = {op.name: op for op in ops}
 
     def test_dense_dim1_from_replicated_is_sharded(self):
-        out = infer_output_layout(self.by_name["qkv_proj"], R4, AxisChoice.DIM1, self.model)
+        out = infer_output_layout(self.by_name["qkv_proj"], R4, AxisChoice.DIM1)
         assert out == S1
 
     def test_dense_dim0_from_feature_sharded_is_partial(self):
-        out = infer_output_layout(self.by_name["attn_out_proj"], S1, AxisChoice.DIM0, self.model)
+        out = infer_output_layout(self.by_name["attn_out_proj"], S1, AxisChoice.DIM0)
         assert out == PS
 
     def test_dense_unsharded_needs_replicated(self):
         with pytest.raises(LayoutError, match="needs input"):
-            infer_output_layout(self.by_name["qkv_proj"], S1, AxisChoice.UNSHARDED, self.model)
+            infer_output_layout(self.by_name["qkv_proj"], S1, AxisChoice.UNSHARDED)
 
     def test_attention_core_rejects_dim0(self):
         with pytest.raises(LayoutError, match="does not admit"):
-            infer_output_layout(self.by_name["attn_core"], R4, AxisChoice.DIM0, self.model)
+            infer_output_layout(self.by_name["attn_core"], R4, AxisChoice.DIM0)
 
     def test_elementwise_preserves_any_layout(self):
         op = self.by_name["kv_cache_io"]
         for state in (R4, S1, PS):
-            assert infer_output_layout(op, state, AxisChoice.UNSHARDED, self.model) == state
+            assert infer_output_layout(op, state, AxisChoice.UNSHARDED) == state
 
     def test_extent_divisibility_enforced(self):
         # 8 query heads cannot split 16 ways.
         r16 = TensorLayout.replicated(16)
         with pytest.raises(LayoutError, match="not divisible"):
-            infer_output_layout(self.by_name["qkv_proj"], r16, AxisChoice.DIM1, self.model)
+            infer_output_layout(self.by_name["qkv_proj"], r16, AxisChoice.DIM1)
 
 
 class TestLayerPlans:

@@ -1,4 +1,4 @@
-"""Elite buffer semantics, network forward/backward, sampling, checkpoints.
+"""Elite buffer semantics, network forward/backward and sampling.
 
 The gradient tests are the load-bearing part: every analytic gradient is
 checked entry-by-entry against central finite differences on a width-8 toy
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from shardsearch.policy import (
     MASKED_LOGIT,
-    CheckpointError,
     EliteBuffer,
     NumericsError,
     PolicyNetwork,
@@ -20,13 +19,12 @@ from shardsearch.policy import (
     build_observation,
     confidence,
     head_masks,
-    load_checkpoint,
     sample_categorical,
-    save_checkpoint,
 )
 from shardsearch.strategy import (
     ActionSpaceSpec,
     AxisChoice,
+    CostKind,
     FusedOpDescriptor,
     OpClass,
 )
@@ -36,12 +34,13 @@ SOFTMAX_2_0_MAX = 0.8807970779778824
 
 
 def toy_ops():
+    both = {AxisChoice.DIM0: 8, AxisChoice.DIM1: 8}
     return (
+        FusedOpDescriptor("alpha", OpClass.DENSE_MATMUL, CostKind.MATMUL, True, 8, 8, both),
         FusedOpDescriptor(
-            "alpha", OpClass.DENSE_MATMUL, (AxisChoice.DIM0, AxisChoice.DIM1), True
+            "beta", OpClass.ATTENTION_CORE, CostKind.ATTENTION, True, 8, 8, {AxisChoice.DIM1: 8}
         ),
-        FusedOpDescriptor("beta", OpClass.ATTENTION_CORE, (AxisChoice.DIM1,), True),
-        FusedOpDescriptor("gamma", OpClass.ELEMENTWISE, (), True),
+        FusedOpDescriptor("gamma", OpClass.ELEMENTWISE, CostKind.NORM, True, 8, 8, {}),
     )
 
 
@@ -465,72 +464,3 @@ class TestGradients:
         # Head 6 admits only choice 0; its masked columns must not move.
         assert np.all(grads["head.6.w"][:, 1:] == 0.0)
         assert np.all(grads["head.6.b"][1:] == 0.0)
-
-
-class TestCheckpoint:
-    def test_roundtrip_preserves_every_tensor(self, tmp_path):
-        policy = toy_policy(seed=4)
-        path = tmp_path / "policy.ckpt"
-        save_checkpoint(str(path), policy.params)
-        loaded = load_checkpoint(str(path))
-        assert set(loaded) == set(policy.params)
-        for name, tensor in policy.params.items():
-            np.testing.assert_array_equal(loaded[name], tensor)
-
-    def test_loaded_state_reproduces_forward(self, tmp_path):
-        policy = toy_policy(seed=6)
-        obs = np.random.default_rng(0).random((3, 7))
-        expected = policy.forward(obs)
-        path = tmp_path / "policy.ckpt"
-        save_checkpoint(str(path), policy.state())
-
-        fresh = toy_policy(seed=999)
-        fresh.load_state(load_checkpoint(str(path)))
-        actual = fresh.forward(obs)
-        for la, lb in zip(expected.logits, actual.logits):
-            np.testing.assert_array_equal(la, lb)
-        assert actual.value == expected.value
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bogus.ckpt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(str(path))
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        policy = toy_policy()
-        path = tmp_path / "policy.ckpt"
-        save_checkpoint(str(path), policy.params)
-        data = bytearray(path.read_bytes())
-        data[4] = 99
-        path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(str(path))
-
-    def test_truncated_file_rejected(self, tmp_path):
-        policy = toy_policy()
-        path = tmp_path / "policy.ckpt"
-        save_checkpoint(str(path), policy.params)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 8])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        policy = toy_policy()
-        path = tmp_path / "policy.ckpt"
-        save_checkpoint(str(path), policy.params)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CheckpointError, match="trailing"):
-            load_checkpoint(str(path))
-
-    def test_state_mismatch_rejected(self, tmp_path):
-        policy = toy_policy()
-        state = policy.state()
-        del state["ffn.w1"]
-        with pytest.raises(ValueError, match="missing"):
-            policy.load_state(state)
-        bad_shape = policy.state()
-        bad_shape["ffn.w1"] = np.zeros((2, 2))
-        with pytest.raises(ValueError, match="shape"):
-            policy.load_state(bad_shape)

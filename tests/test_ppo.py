@@ -200,7 +200,9 @@ class TestAdam:
             steps.append(grad)
             lrs.append(1e-3 * (1.0 + step) / 7.0)
         expected = reference_adam_steps(
-            policy.state(), [dict(policy.tensor_views(g)) for g in steps], lrs
+            {name: t.copy() for name, t in policy.params.items()},
+            [dict(policy.tensor_views(g)) for g in steps],
+            lrs,
         )
         opt = Adam(policy.flat)
         for grad, lr in zip(steps, lrs):

@@ -185,8 +185,10 @@ class TestMegatronDims:
             assert op.admits(axis), op.name
 
     def test_unknown_op_rejected(self):
-        from shardsearch.strategy import FusedOpDescriptor, OpClass
+        from shardsearch.strategy import CostKind, FusedOpDescriptor, OpClass
 
-        bogus = (FusedOpDescriptor("mystery", OpClass.DENSE_MATMUL, (), True),)
+        bogus = (
+            FusedOpDescriptor("mystery", OpClass.DENSE_MATMUL, CostKind.MATMUL, True, 8, 8, {}),
+        )
         with pytest.raises(ValueError, match="mystery"):
             megatron_fine_dims(bogus)
