@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import shutil
@@ -25,8 +26,8 @@ from .baselines import (
     simulated_annealing,
 )
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config_path
-from .env import EvalRecord, SearchEnv, load_eval_log
-from .ppo import SearchReport, build_report, run_search
+from .env import SearchEnv, load_eval_log
+from .ppo import SearchReport, run_search
 from .simulator import SimRequest, SimResult, explain, simulate
 from .strategy import AXIS_BY_NAME, AxisChoice, Strategy, canonical_fused_ops, megatron_fine_dims
 
@@ -228,11 +229,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if result.valid else EXIT_INVALID_STRATEGY
 
 
-def _raw_report(algo: str, seed: int | None, records: Sequence[EvalRecord]) -> SearchReport:
-    """Best valid record by raw throughput and the best-so-far curve of a log."""
-    return build_report(
-        algo, seed, records, restarts=(), budget=len(records), wall_clock_s=0.0, by_raw=True
-    )
+def _record_run(run_dir: Path, report: SearchReport) -> dict:
+    """Writes one run's ``report.json`` and returns its ``summary.json`` row."""
+    (run_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    return {
+        "seed": report.seed,
+        "best_raw": report.best_raw,
+        "best_vector": report.best_vector,
+        "evals": report.evals,
+    }
 
 
 def _summarize(algo: str, budget: int, rows: list[dict]) -> dict:
@@ -303,16 +308,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         report = megatron_exhaustive(
             lambda b: make_env(b, run_dir / "evals.ndjson"), cfg.space
         )
-        (run_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        # by_raw selection: the report's best IS the best valid raw.
-        rows.append(
-            {
-                "seed": None,
-                "best_raw": report.best_raw,
-                "best_vector": list(report.best_vector),
-                "evals": report.evals,
-            }
-        )
+        rows.append(_record_run(run_dir, report))
         budget = report.budget
         print(f"grid: best raw {report.best_raw:.6f} over {report.evals} points")
     else:
@@ -329,19 +325,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             env = make_env(budget, run_dir / "evals.ndjson")
             with env:
                 report = searchers[algo](env, seed)
-            (run_dir / "report.json").write_text(
-                report.to_json() + "\n", encoding="utf-8"
-            )
-            best = _raw_report(algo, seed, env.eval_log)
-            rows.append(
-                {
-                    "seed": seed,
-                    "best_raw": best.best_raw,
-                    "best_vector": list(best.best_vector) if best.best_valid else None,
-                    "evals": report.evals,
-                }
-            )
-            print(f"seed {seed}: best raw {rows[-1]['best_raw']:.6f} ({report.evals} evals)")
+            rows.append(_record_run(run_dir, report))
+            print(f"seed {seed}: best raw {report.best_raw:.6f} ({report.evals} evals)")
 
     summary = _summarize(algo, budget, rows)
     (out_dir / "summary.json").write_text(
@@ -390,15 +375,17 @@ def _read_run(path: Path) -> _RunDir:
         seed = None
         report_path = sub / "report.json"
         if report_path.is_file():
-            report = SearchReport.from_json(report_path.read_text(encoding="utf-8"))
-            if len(records) != report.evals:
+            report = json.loads(report_path.read_text(encoding="utf-8"))
+            if len(records) != report["evals"]:
                 raise CliError(
                     f"{log} holds {len(records)} records but {report_path} "
-                    f"reports {report.evals} evals"
+                    f"reports {report['evals']} evals"
                 )
-            seed = report.seed
-        best = _raw_report(str(summary["algorithm"]), seed, records)
-        seeds.append(_SeedRun(seed=seed, best_raw=best.best_raw, curve=best.best_so_far_raw()))
+            seed = report["seed"]
+        # Invalid records log raw 0, so the running max of the raws is the
+        # best valid raw so far, and its last value is the seed's best.
+        curve = tuple(itertools.accumulate((r.raw for r in records), max))
+        seeds.append(_SeedRun(seed=seed, best_raw=curve[-1], curve=curve))
     if not seeds:
         raise CliError(f"{path} contains no eval logs")
     seeds.sort(key=lambda s: (s.seed is None, s.seed if s.seed is not None else 0))

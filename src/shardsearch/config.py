@@ -13,6 +13,7 @@ convert them, so datasheet-style notation works either way.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -120,71 +121,31 @@ def _check_keys(mapping: Mapping[str, Any], path: str, allowed: Mapping[str, Any
         raise ConfigError(f"unknown key {listed}; allowed keys: {sorted(allowed)}")
 
 
-def _build_kwargs(
-    mapping: Mapping[str, Any],
-    path: str,
-    fields: Mapping[str, Callable[[Any, str], Any]],
-    required: tuple[str, ...] = (),
-) -> dict[str, Any]:
-    _check_keys(mapping, path, fields)
-    for key in required:
-        if key not in mapping:
-            raise ConfigError(f"missing key '{path}.{key}'")
-    return {
-        key: coerce(mapping[key], f"{path}.{key}")
-        for key, coerce in fields.items()
-        if key in mapping
-    }
-
-
-_MODEL_FIELDS: dict[str, Callable[[Any, str], Any]] = {
-    "name": _as_str,
-    "num_layers": _as_int,
-    "hidden_dim": _as_int,
-    "num_heads": _as_int,
-    "head_dim": _as_int,
-    "num_kv_heads": _as_int,
-    "ffn_dim": _as_int,
-    "num_experts": _as_int,
-    "experts_per_token": _as_int,
-    "has_shared_expert": _as_bool,
-    "vocab_size": _as_int,
-    "dtype_bytes": _as_int,
+_COERCERS: dict[str, Callable[[Any, str], Any]] = {
+    "int": _as_int,
+    "float": _as_float,
+    "bool": _as_bool,
+    "str": _as_str,
 }
 
-_HARDWARE_FIELDS: dict[str, Callable[[Any, str], Any]] = {
-    "name": _as_str,
-    "peak_flops": _as_float,
-    "hbm_bandwidth": _as_float,
-    "hbm_capacity": _as_float,
-    "intra_node_bw": _as_float,
-    "inter_node_bw": _as_float,
-    "node_size": _as_int,
-    "device_budget": _as_int,
-    "kernel_overhead": _as_float,
-    "per_collective_latency": _as_float,
-}
 
-_SIMULATION_FIELDS = {"context_len": _as_int, "slo_tpot": _as_float}
+def _build_section(cls: type, data: Mapping[str, Any], path: str) -> Any:
+    """One section's dataclass: its fields are the allowed keys, each field's
+    annotation picks the coercer, and a field without a default is required."""
+    mapping = _mapping_section(data, path)
+    fields = dataclasses.fields(cls)
+    _check_keys(mapping, path, {f.name: None for f in fields})
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in mapping:
+            raise ConfigError(f"missing key '{path}.{f.name}'")
+    return cls(
+        **{
+            f.name: _COERCERS[f.type](mapping[f.name], f"{path}.{f.name}")
+            for f in fields
+            if f.name in mapping
+        }
+    )
 
-_REWARD_FIELDS = {"alpha": _as_float, "beta": _as_float, "invalid_penalty": _as_float}
-
-_PPO_FIELDS: dict[str, Callable[[Any, str], Any]] = {
-    "budget": _as_int,
-    "chunks": _as_int,
-    "n_steps": _as_int,
-    "epochs_per_update": _as_int,
-    "lr_initial": _as_float,
-    "clip_eps": _as_float,
-    "value_coef": _as_float,
-    "entropy_coef": _as_float,
-    "tau": _as_float,
-    "history_len": _as_int,
-    "width": _as_int,
-    "ffn_width": _as_int,
-}
-
-_SA_FIELDS = {"t_initial": _as_float, "neighbor_moves": _as_int}
 
 _SPACE_KEYS = ("tp", "ep", "pp", "batch", "ops", "pins")
 
@@ -245,38 +206,13 @@ def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}: missing section '{required}'")
 
     try:
-        model = ModelSpec(
-            **_build_kwargs(
-                _mapping_section(data, "model"),
-                "model",
-                _MODEL_FIELDS,
-                required=tuple(k for k in _MODEL_FIELDS if k != "dtype_bytes"),
-            )
-        )
-        hardware = HardwareSpec(
-            **_build_kwargs(
-                _mapping_section(data, "hardware"),
-                "hardware",
-                _HARDWARE_FIELDS,
-                required=tuple(_HARDWARE_FIELDS),
-            )
-        )
-        simulation = SimulationSettings(
-            **_build_kwargs(
-                _mapping_section(data, "simulation"),
-                "simulation",
-                _SIMULATION_FIELDS,
-                required=("context_len",),
-            )
-        )
+        model = _build_section(ModelSpec, data, "model")
+        hardware = _build_section(HardwareSpec, data, "hardware")
+        simulation = _build_section(SimulationSettings, data, "simulation")
         space = _parse_space(_mapping_section(data, "action_space"), model)
-        reward = RewardConfig(
-            **_build_kwargs(_mapping_section(data, "reward"), "reward", _REWARD_FIELDS)
-        )
-        ppo = PpoConfig(
-            **_build_kwargs(_mapping_section(data, "ppo"), "ppo", _PPO_FIELDS)
-        )
-        sa = SaConfig(**_build_kwargs(_mapping_section(data, "sa"), "sa", _SA_FIELDS))
+        reward = _build_section(RewardConfig, data, "reward")
+        ppo = _build_section(PpoConfig, data, "ppo")
+        sa = _build_section(SaConfig, data, "sa")
     except ConfigError:
         raise
     except ValueError as err:

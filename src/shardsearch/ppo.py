@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -417,64 +417,20 @@ def run_chunk(
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one search run, fully reconstructable from the eval log."""
+    """Outcome of one search run: its eval log's best valid record by raw
+    throughput, plus the run's restarts and wall time."""
 
     algorithm: str
     seed: int | None
     budget: int
     evals: int
-    best_vector: tuple[int, ...]
+    best_vector: tuple[int, ...] | None  # None when nothing was valid
     best_raw: float
-    best_reward: float
-    best_valid: bool
     restarts: tuple[int, ...]
-    rewards: tuple[float, ...]
-    raws: tuple[float, ...]
     wall_clock_s: float
 
-    def best_so_far_raw(self) -> tuple[float, ...]:
-        """Running maximum of raw throughput; invalid evals score 0."""
-        best = 0.0
-        curve = []
-        for raw in self.raws:
-            best = max(best, raw)
-            curve.append(best)
-        return tuple(curve)
-
     def to_json(self) -> str:
-        payload = {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "budget": self.budget,
-            "evals": self.evals,
-            "best_vector": list(self.best_vector),
-            "best_raw": self.best_raw,
-            "best_reward": self.best_reward,
-            "best_valid": self.best_valid,
-            "restarts": list(self.restarts),
-            "rewards": list(self.rewards),
-            "raws": list(self.raws),
-            "wall_clock_s": self.wall_clock_s,
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "SearchReport":
-        payload = json.loads(text)
-        return SearchReport(
-            algorithm=payload["algorithm"],
-            seed=payload["seed"],
-            budget=payload["budget"],
-            evals=payload["evals"],
-            best_vector=tuple(payload["best_vector"]),
-            best_raw=payload["best_raw"],
-            best_reward=payload["best_reward"],
-            best_valid=payload["best_valid"],
-            restarts=tuple(payload["restarts"]),
-            rewards=tuple(payload["rewards"]),
-            raws=tuple(payload["raws"]),
-            wall_clock_s=payload["wall_clock_s"],
-        )
+        return json.dumps(asdict(self))
 
 
 def build_report(
@@ -484,37 +440,23 @@ def build_report(
     restarts: Sequence[int],
     budget: int,
     wall_clock_s: float,
-    by_raw: bool = False,
 ) -> SearchReport:
-    """Summarize an eval-record stream; earliest record wins ties.
-
-    ``by_raw`` selects the winner by raw throughput over valid records only
-    (the exhaustive baseline's rule); the default selects by reward, the
-    signal the learning searches optimize.
-    """
+    """Summarize an eval-record stream by its best valid record by raw
+    throughput, earliest on ties; with nothing valid the best raw is 0."""
     if not records:
         raise ValueError("cannot report on zero evaluations")
     best = None
     for record in records:
-        if by_raw and not record.valid:
-            continue
-        key = record.raw if by_raw else record.reward
-        if best is None or key > (best.raw if by_raw else best.reward):
+        if record.valid and (best is None or record.raw > best.raw):
             best = record
-    if best is None:
-        best = records[0]  # nothing valid; report the first penalty record
     return SearchReport(
         algorithm=algorithm,
         seed=seed,
         budget=budget,
         evals=len(records),
-        best_vector=best.vector,
-        best_raw=best.raw,
-        best_reward=best.reward,
-        best_valid=best.valid,
+        best_vector=None if best is None else best.vector,
+        best_raw=0.0 if best is None else best.raw,
         restarts=tuple(restarts),
-        rewards=tuple(r.reward for r in records),
-        raws=tuple(r.raw for r in records),
         wall_clock_s=wall_clock_s,
     )
 

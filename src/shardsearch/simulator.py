@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .layout import (
@@ -98,6 +98,9 @@ class SimResult:
     memory_bytes: float
     breakdown: TimeBreakdown
     detail: str = ""
+    # The per-layer plan that was priced; None when a gate stopped the
+    # strategy before pricing.
+    layer_plan: LayerPlan | None = field(default=None, compare=False, repr=False)
 
 
 def op_time(flops: float, bytes_moved: float, hw: HardwareSpec) -> float:
@@ -258,6 +261,7 @@ def simulate(req: SimRequest) -> SimResult:
             memory_bytes=kw.get("memory", 0.0),
             breakdown=kw.get("breakdown", zero),
             detail=detail,
+            layer_plan=kw.get("layer_plan"),
         )
 
     if s.world_size > hw.device_budget:
@@ -332,6 +336,7 @@ def simulate(req: SimRequest) -> SimResult:
             tpot=tpot,
             memory=memory,
             breakdown=breakdown,
+            layer_plan=layer_plan,
         )
 
     return SimResult(
@@ -341,12 +346,13 @@ def simulate(req: SimRequest) -> SimResult:
         tpot_s=tpot,
         memory_bytes=memory,
         breakdown=breakdown,
+        layer_plan=layer_plan,
     )
 
 
 def explain(req: SimRequest) -> str:
     """Human-readable account of one strategy: verdict, plan, and times."""
-    model, hw, s = req.model, req.hw, req.strategy
+    s = req.strategy
     result = simulate(req)
     lines = [
         f"strategy: tp={s.tp} ep={s.ep} pp={s.pp} batch={s.batch} "
@@ -369,7 +375,6 @@ def explain(req: SimRequest) -> str:
     )
     if result.valid:
         lines.append(f"throughput: {result.throughput:.4f} tokens/s/chip")
-    plan = plan_layer(model, _segments(model)[1], s, s.batch, hw.node_size)
     lines.append("per-layer plan:")
-    lines.extend("  " + ln for ln in plan.describe().splitlines())
+    lines.extend("  " + ln for ln in result.layer_plan.describe().splitlines())
     return "\n".join(lines)

@@ -166,7 +166,7 @@ def test_best_found_plan_beats_the_heuristic_with_different_shard_axes(
     heuristic = megatron_exhaustive(
         lambda budget: make_env(tiny_cfg, budget), tiny_cfg.space
     )
-    assert heuristic.best_valid
+    assert heuristic.best_vector is not None
     winner = max(tiny_policy_runs["bests"], key=lambda rec: rec.raw)
     assert winner.raw >= heuristic.best_raw
 

@@ -151,8 +151,10 @@ class TestRandomWalk:
         env = make_env(budget=4)
         report = random_walk(env, budget=1, seed=0)
         assert report.evals == 1
-        assert len(report.rewards) == 1
         assert env.evals_used == 1
+        (only,) = env.eval_log
+        assert report.best_vector == (only.vector if only.valid else None)
+        assert report.best_raw == only.raw
 
     def test_same_seed_same_sequence(self):
         vectors = []
@@ -165,8 +167,9 @@ class TestRandomWalk:
     def test_report_best_matches_log_argmax(self):
         env = make_env(budget=24)
         report = random_walk(env, budget=24, seed=3)
-        best = max(env.eval_log, key=lambda r: r.reward)
-        assert report.best_reward == best.reward
+        best = max((r for r in env.eval_log if r.valid), key=lambda r: r.raw)
+        assert report.best_raw == best.raw
+        assert report.best_vector == best.vector
         assert report.algorithm == "rw"
 
 
@@ -186,10 +189,15 @@ class TestSimulatedAnnealing:
             logs.append([r.vector for r in env.eval_log])
         assert logs[0] == logs[1]
 
-    def test_reports_best_ever_seen_by_reward(self):
-        env = make_env(budget=20)
-        report = simulated_annealing(env, SaConfig(), budget=20, seed=1)
-        assert report.best_reward == max(r.reward for r in env.eval_log)
+    def test_reports_best_valid_raw_ever_seen(self):
+        # Seed 1 finds nothing valid in 20 proposals; seed 3 finds 12.
+        for seed in (1, 3):
+            env = make_env(budget=20)
+            report = simulated_annealing(env, SaConfig(), budget=20, seed=seed)
+            valid = [r for r in env.eval_log if r.valid]
+            best = max(valid, key=lambda r: r.raw) if valid else None
+            assert report.best_raw == (best.raw if best else 0.0)
+            assert report.best_vector == (best.vector if best else None)
 
     def test_temperature_limits_run_clean(self):
         # Near-zero start temperature: pure hill climbing; huge start
@@ -207,9 +215,12 @@ class TestSimulatedAnnealing:
 
 
 class TestMegatronExhaustive:
-    def factory(self, hw=None):
+    def factory(self, hw=None, built=None):
         def build(budget):
-            return make_env(budget=budget, hw=hw)
+            env = make_env(budget=budget, hw=hw)
+            if built is not None:
+                built.append(env)
+            return env
 
         return build
 
@@ -226,7 +237,8 @@ class TestMegatronExhaustive:
     def test_winner_is_best_valid_by_raw_reverified(self):
         space = small_space()
         env_audit = make_env(budget=81)
-        report = megatron_exhaustive(self.factory(), space)
+        built = []
+        report = megatron_exhaustive(self.factory(built=built), space)
         # Re-simulate the winner directly; its raw must equal the report's.
         strategy = decode_strategy(report.best_vector, space)
         result = simulate(
@@ -240,17 +252,17 @@ class TestMegatronExhaustive:
         )
         assert result.valid
         assert result.throughput == report.best_raw
-        assert report.best_valid is True
         # And nothing on the grid beats it.
-        valid_raws = [r for r in report.raws if r > 0]
-        assert report.best_raw == max(valid_raws)
+        (grid,) = built
+        assert report.best_raw == max(r.raw for r in grid.eval_log if r.valid)
 
     def test_deterministic_across_calls(self):
         space = small_space()
-        a = megatron_exhaustive(self.factory(), space)
-        b = megatron_exhaustive(self.factory(), space)
+        built = []
+        a = megatron_exhaustive(self.factory(built=built), space)
+        b = megatron_exhaustive(self.factory(built=built), space)
         assert a.best_vector == b.best_vector
-        assert a.raws == b.raws
+        assert [r.raw for r in built[0].eval_log] == [r.raw for r in built[1].eval_log]
 
     def test_zero_valid_configurations_is_an_error(self):
         oom = small_hw(hbm_capacity=1e4)

@@ -343,6 +343,46 @@ def make_run(tmp_path, capsys, algo, name, budget="30", seeds="2"):
     return out_dir
 
 
+class TestOneBest:
+    """report.json, summary.json and the eval log name the same best record."""
+
+    @pytest.mark.parametrize("algo", ["ppo", "sa", "rw"])
+    def test_every_run_file_names_the_log_best(self, tmp_path, capsys, algo):
+        out_dir = make_run(tmp_path, capsys, algo, algo, budget="100", seeds="2")
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [row["seed"] for row in summary["per_seed"]] == [0, 1]
+        for row in summary["per_seed"]:
+            seed_dir = out_dir / f"seed_{row['seed']}"
+            report = json.loads((seed_dir / "report.json").read_text())
+            valid = [r for r in load_eval_log(seed_dir / "evals.ndjson") if r.valid]
+            best = max(valid, key=lambda r: r.raw)  # earliest on ties
+            assert report["best_raw"] == row["best_raw"] == best.raw
+            assert report["best_vector"] == row["best_vector"] == list(best.vector)
+
+    def test_report_reads_report_json_with_the_old_fields(self, tmp_path, capsys):
+        # report.json used to carry the best record by reward and copies of
+        # the log's reward and raw arrays; report reads only seed and evals.
+        out_dir = make_run(tmp_path, capsys, "ppo", "ppo", budget="100", seeds="2")
+        assert run_cli(["report", str(out_dir), "--out", str(tmp_path / "new")], capsys)[0] == 0
+        for seed_dir in out_dir.glob("seed_*"):
+            path = seed_dir / "report.json"
+            report = json.loads(path.read_text())
+            records = load_eval_log(seed_dir / "evals.ndjson")
+            by_reward = max(records, key=lambda r: r.reward)
+            report.update(
+                best_vector=list(by_reward.vector),
+                best_raw=by_reward.raw,
+                best_reward=by_reward.reward,
+                best_valid=by_reward.valid,
+                rewards=[r.reward for r in records],
+                raws=[r.raw for r in records],
+            )
+            path.write_text(json.dumps(report) + "\n")
+        assert run_cli(["report", str(out_dir), "--out", str(tmp_path / "old")], capsys)[0] == 0
+        for name in ("table.csv", "curves.csv"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+
 class TestReport:
     def test_single_directory_renders_one_row(self, tmp_path, capsys):
         rw = make_run(tmp_path, capsys, "rw", "rw")

@@ -4,6 +4,7 @@ import pytest
 
 from shardsearch.env import (
     BudgetExhausted,
+    EvalRecord,
     RewardConfig,
     SearchEnv,
     load_eval_log,
@@ -184,42 +185,45 @@ def report_of(records):
 
 
 class TestSelection:
-    """The run's best record is ``build_report``'s pick from the eval log."""
+    """The run's best is ``build_report``'s pick from the eval log: the
+    best valid record by raw throughput, earliest on ties."""
 
     def test_empty_log_raises(self):
         with pytest.raises(ValueError, match="zero evaluations"):
             report_of(make_env().eval_log)
 
-    def test_argmax_by_reward(self):
+    def test_argmax_by_raw(self):
         env = make_env()
-        lo = megatron_vector(env.space, tp=2, batch=4)
-        hi = megatron_vector(env.space, tp=2, batch=16)
+        lo = megatron_vector(env.space, tp=2, batch=16)
+        hi = megatron_vector(env.space, tp=1, batch=16)
         env.step(lo)
-        env.step(hi)
+        env.step(hi)  # higher raw, but lower reward: lo raised the baseline
+        first, second = env.eval_log
+        assert second.raw > first.raw and second.reward < first.reward
         report = report_of(env.eval_log)
         assert report.best_vector == hi
-        assert decode_strategy(report.best_vector, env.space).batch == 16
-        assert report.best_valid
+        assert report.best_raw == second.raw
 
     def test_ties_break_earliest(self):
-        env = make_env()
-        vec = megatron_vector(env.space, tp=2, batch=4)
-        env.step(vec)  # first sees the improvement bonus
-        env.step(vec)  # identical raw, lower reward (b caught up)
-        report = report_of(env.eval_log)
-        assert report.best_reward == env.eval_log[0].reward
-        assert report.best_reward > env.eval_log[1].reward
+        def record(index, vector, raw):
+            return EvalRecord(index, vector, raw, raw, valid=True, reason="none")
 
-    def test_all_invalid_returns_flagged_first(self):
+        env = make_env()
+        a = megatron_vector(env.space, tp=2, batch=4)
+        b = megatron_vector(env.space, tp=1, batch=4)
+        report = report_of([record(0, a, 1.0), record(1, b, 5.0), record(2, a, 5.0)])
+        assert report.best_vector == b
+        assert report.best_raw == 5.0
+
+    def test_all_invalid_has_no_best_vector(self):
         env = make_env(hw=small_hw(hbm_capacity=1e4))
-        vec_a = megatron_vector(env.space, tp=1, batch=1)
-        vec_b = megatron_vector(env.space, tp=1, batch=4)
-        env.step(vec_a)
-        env.step(vec_b)
+        env.step(megatron_vector(env.space, tp=1, batch=1))
+        env.step(megatron_vector(env.space, tp=1, batch=4))
+        assert not any(r.valid for r in env.eval_log)
         report = report_of(env.eval_log)
-        assert not report.best_valid
-        assert report.best_vector == vec_a
-        assert report.best_reward == env.eval_log[0].reward
+        assert report.best_vector is None
+        assert report.best_raw == 0.0
+        assert report.evals == 2
 
 
 class TestEvalLog:

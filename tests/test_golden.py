@@ -1,5 +1,5 @@
-"""Golden check: seeded PPO eval logs and two simulator tables must not
-change under refactors.
+"""Golden check: seeded PPO eval logs, two simulator tables and one set of
+command-line run outputs must not change under refactors.
 
 The files under ``tests/golden/`` hold, for each (config, seed) search at a
 fixed budget, every record's vector, validity, reason and raw throughput.
@@ -8,7 +8,10 @@ tpot) on every point of the tiny config's action space, in
 ``itertools.product`` order, and on every point of the Megatron-pinned
 coarse grid of the 1.2T config. Floats are stored by ``repr`` (JSON's float
 encoding), so they round-trip exactly and the comparison is equality, not a
-tolerance.
+tolerance. ``run-tiny-budget100/`` holds the ``summary.json`` of each
+``search`` on tiny (ppo, sa and rw at budget 100 over seeds 0-1, and the
+exhaustive sweep) and the ``table.csv`` and ``curves.csv`` that ``report``
+writes over all four; they are compared byte for byte.
 
 To rewrite the files after an intended change of behaviour, run
 
@@ -20,10 +23,12 @@ and say in the change log why the logs moved.
 import dataclasses
 import itertools
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from shardsearch.cli import main
 from shardsearch.config import load_config, packaged_config_path
 from shardsearch.env import SearchEnv
 from shardsearch.ppo import run_search
@@ -34,6 +39,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 BUDGET = 200
 CASES = (("tiny", 0), ("tiny", 1), ("moe_1p2t_h100", 0))
 TABLES = (("tiny", "full"), ("moe_1p2t_h100", "megatron"))
+RUN_DIR = GOLDEN_DIR / "run-tiny-budget100"
+RUN_ALGOS = ("ppo", "sa", "rw", "exhaustive")
 
 
 def golden_path(config: str, seed: int) -> Path:
@@ -90,6 +97,31 @@ def table_records(config: str, grid: str) -> list[list]:
     return rows
 
 
+def run_outputs(work: Path) -> dict[str, bytes]:
+    """The files of ``RUN_DIR``, produced afresh under ``work``."""
+    for algo in RUN_ALGOS:
+        argv = ["search", "--config", "tiny", "--algo", algo, "--out", str(work / algo)]
+        if algo != "exhaustive":
+            argv += ["--budget", "100", "--seeds", "2"]
+        assert main(argv) == 0
+    report = work / "report"
+    assert main(["report", *(str(work / algo) for algo in RUN_ALGOS), "--out", str(report)]) == 0
+    outputs = {
+        f"summary-{algo}.json": (work / algo / "summary.json").read_bytes()
+        for algo in RUN_ALGOS
+    }
+    for name in ("table.csv", "curves.csv"):
+        outputs[name] = (report / name).read_bytes()
+    return outputs
+
+
+def test_run_outputs_match_golden(tmp_path):
+    outputs = run_outputs(tmp_path)
+    assert sorted(outputs) == sorted(p.name for p in RUN_DIR.iterdir())
+    for name, data in outputs.items():
+        assert data == (RUN_DIR / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("config,grid", TABLES)
 def test_simulator_table_matches_golden(config, grid):
     expected = json.loads(table_path(config, grid).read_text(encoding="utf-8"))
@@ -129,3 +161,8 @@ if __name__ == "__main__":
         }
         table_path(config, grid).write_text(json.dumps(payload) + "\n", encoding="utf-8")
         print(f"wrote {table_path(config, grid)}")
+    RUN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for name, data in run_outputs(Path(work)).items():
+            (RUN_DIR / name).write_bytes(data)
+            print(f"wrote {RUN_DIR / name}")

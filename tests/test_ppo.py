@@ -4,6 +4,8 @@ The full-loss finite-difference test is the oracle for the trainer's
 gradient wiring end to end (surrogate, value, entropy terms together).
 """
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -487,7 +489,7 @@ class TestRunSearch:
         assert report.evals == 20
         assert env.evals_used == 20
         assert report.restarts == (0, 4, 8, 12, 16)
-        assert len(report.rewards) == 20
+        assert len(env.eval_log) == 20
 
     def test_early_exits_roll_budget_forward_and_still_spend_all(self):
         # tau far below any reachable confidence: every chunk exits after one
@@ -513,14 +515,15 @@ class TestRunSearch:
         assert all(a <= b for a, b in zip(baselines, baselines[1:]))
 
     def test_same_seed_reproduces_everything_but_the_clock(self):
-        reports = []
+        reports, logs = [], []
         for _ in range(2):
             env = make_env(budget=20)
             reports.append(run_search(env, small_cfg(), seed=7))
+            logs.append(env.eval_log)
         a, b = reports
-        assert a.rewards == b.rewards
-        assert a.raws == b.raws
+        assert logs[0] == logs[1]
         assert a.best_vector == b.best_vector
+        assert a.best_raw == b.best_raw
         assert a.restarts == b.restarts
 
     def test_different_restarts_draw_different_parameters(self):
@@ -559,13 +562,16 @@ class TestSearchReport:
     def test_json_roundtrip(self):
         env = make_env(budget=20)
         report = run_search(env, small_cfg(), seed=3)
-        clone = SearchReport.from_json(report.to_json())
-        assert clone == report
+        payload = json.loads(report.to_json())
+        for key in ("best_vector", "restarts"):
+            payload[key] = tuple(payload[key])
+        assert SearchReport(**payload) == report
 
     def test_best_so_far_curve_is_non_decreasing(self):
         env = make_env(budget=20)
         report = run_search(env, small_cfg(), seed=4)
-        curve = report.best_so_far_raw()
+        # The curve `report` draws: a running max of the log's raws.
+        curve = list(itertools.accumulate((r.raw for r in env.eval_log), max))
         assert len(curve) == 20
         assert all(a <= b for a, b in zip(curve, curve[1:]))
-        assert curve[-1] == max(report.raws)
+        assert curve[-1] == report.best_raw

@@ -11,11 +11,13 @@ from shardsearch.layout import (
     CollectiveOp,
     Interconnect,
 )
+from shardsearch import simulator
 from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.simulator import (
     InvalidReason,
     SimRequest,
     collective_time,
+    explain,
     memory_per_device,
     op_time,
     simulate,
@@ -379,3 +381,31 @@ class TestAccounting:
             step = next(st for st in plan.steps if st.op.name == "qkv_proj")
             costs[tp] = _op_cost(step, self.model, s, 256)[0]
         assert costs[2] == 2 * costs[4]
+
+
+class TestExplain:
+    def test_prints_the_layer_plan_simulate_priced_without_replanning(self, monkeypatch):
+        model, hw = small_model(), bare_hw()
+        req = request(model, hw, make_strategy(model, tp=4, ep=2, pp=2, batch=16), slo=10.0)
+        calls = []
+        real_plan_layer = simulator.plan_layer
+
+        def counting_plan_layer(*args, **kwargs):
+            calls.append(args[1])
+            return real_plan_layer(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "plan_layer", counting_plan_layer)
+        result = simulate(req)
+        planned = len(calls)
+        text = explain(req)
+        assert len(calls) == 2 * planned  # explain's own simulate, nothing more
+        assert result.valid and result.layer_plan is not None
+        plan_lines = ["  " + ln for ln in result.layer_plan.describe().splitlines()]
+        assert text.splitlines()[-len(plan_lines):] == plan_lines
+
+    def test_gated_result_carries_no_plan(self):
+        model = small_model()
+        over_budget = bare_hw(device_budget=2)
+        result = simulate(request(model, over_budget, make_strategy(model, tp=4)))
+        assert result.invalid_reason is InvalidReason.OVER_DEVICE_BUDGET
+        assert result.layer_plan is None
