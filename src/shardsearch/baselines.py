@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .env import SearchEnv
+from .env import SearchEnv, require_finite
 from .ppo import SearchReport, build_report, cosine_decay
 from .strategy import ActionSpaceSpec, canonical_fused_ops, megatron_fine_dims
 
@@ -40,6 +40,7 @@ class SaConfig:
     neighbor_moves: int = 1
 
     def __post_init__(self) -> None:
+        require_finite("sa", self)
         if self.t_initial <= 0:
             raise ValueError(f"sa.t_initial must be positive, got {self.t_initial}")
         if self.neighbor_moves < 1:

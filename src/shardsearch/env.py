@@ -14,7 +14,9 @@ evaluation lands in an append-only log that fully reproduces the search.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -28,6 +30,14 @@ class BudgetExhausted(RuntimeError):
     """All simulator calls of the run's budget have been spent."""
 
 
+def require_finite(section: str, knobs) -> None:
+    """Reject a NaN or infinite float field of a config dataclass, naming its key."""
+    for f in dataclasses.fields(knobs):
+        value = getattr(knobs, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{section}.{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RewardConfig:
     """Shaping knobs: scale factors and the flat penalty for invalid picks."""
@@ -37,6 +47,7 @@ class RewardConfig:
     invalid_penalty: float = -10.0
 
     def __post_init__(self) -> None:
+        require_finite("reward", self)
         if not self.alpha > 0:
             raise ValueError(f"reward.alpha must be positive, got {self.alpha}")
         if not self.beta > 0:

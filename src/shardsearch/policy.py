@@ -3,16 +3,21 @@
 The policy observes the best strategies found so far (the elite buffer) as a
 fixed-shape matrix, encodes the rows with one self-attention block, and
 mean-pools them into a single latent from which independent categorical
-heads score every sub-action, alongside a scalar value estimate.
+heads score every sub-action, alongside a scalar value estimate. The heads
+form one table of shape (heads x widest head): one matrix product scores
+every choice of every head, and softmax, sampling, log-probabilities and
+gradients each run once over the whole table.
 
 All math is float64 numpy with hand-written backward passes: the network is
 small enough that explicit gradients are simpler than an autodiff dependency,
 and they stay directly checkable against finite differences. Parameters live
 in one contiguous float64 vector (``flat``); ``params`` maps each tensor name
 to a view into it, so the optimizer steps the whole network as one vector
-while the gradient checks still address named tensors.
-Gradients use the same layout: ``backward`` writes into views of one flat
-gradient vector.
+while the gradient checks still address named tensors. The heads share one
+``width x total-choices`` weight matrix and one bias vector; ``head.{i}.w``
+and ``head.{i}.b`` are column views into that matrix and slices of that
+bias. Gradients use the same layout: ``backward`` writes into views of one
+flat gradient vector that each policy owns.
 
 Design notes:
   * No positional signal on the elite rows. Rank is already implied by the
@@ -20,8 +25,10 @@ Design notes:
     row permutation, which is a cheap correctness probe.
   * Head output layers start at zero, so an untrained policy samples every
     sub-action uniformly; the first rollouts are unbiased exploration.
-  * Inadmissible axis choices are masked to a large negative logit rather
-    than dropped, keeping every head a fixed-width categorical.
+  * One boolean mask over the head table covers both the padding cells
+    past each head's size and the inadmissible axis choices. Masked cells
+    get a large negative logit, so their probability is exactly 0 and every
+    head stays a categorical over its own admissible choices.
 """
 
 from __future__ import annotations
@@ -122,31 +129,44 @@ def build_observation(buf: EliteBuffer, space: ActionSpaceSpec) -> np.ndarray:
 
 def head_masks(
     space: ActionSpaceSpec, ops: Iterable[FusedOpDescriptor]
-) -> tuple[np.ndarray, ...]:
-    """Allowed-choice mask per sub-action head, in encoding order.
+) -> np.ndarray:
+    """Allowed cells of the (heads x widest head) table, in encoding order.
 
-    Coarse degree heads are unrestricted. Axis heads expose UNSHARDED plus
-    whichever shard axes their operator admits; everything else is masked
-    so the policy never spends probability mass on structurally dead moves.
+    Cells past a head's size are padding. Coarse degree heads allow every
+    value. Axis heads allow UNSHARDED plus whichever shard axes their
+    operator admits, so the policy never spends probability mass on
+    structurally dead moves.
     """
     by_name = {op.name: op for op in ops}
-    masks: list[np.ndarray] = [
-        np.ones(len(space.tp_domain), dtype=bool),
-        np.ones(len(space.ep_domain), dtype=bool),
-        np.ones(len(space.pp_domain), dtype=bool),
-        np.ones(len(space.batch_domain), dtype=bool),
-    ]
-    for name in space.op_names:
+    sizes = np.asarray(space.head_sizes)
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    for row, name in enumerate(space.op_names, start=len(sizes) - len(space.op_names)):
         if name not in by_name:
             raise ValueError(f"action space controls unknown operator {name!r}")
         op = by_name[name]
-        masks.append(
-            np.array(
-                [True, op.admits(AxisChoice.DIM0), op.admits(AxisChoice.DIM1)],
-                dtype=bool,
-            )
-        )
-    return tuple(masks)
+        mask[row, AxisChoice.DIM0] = op.admits(AxisChoice.DIM0)
+        mask[row, AxisChoice.DIM1] = op.admits(AxisChoice.DIM1)
+    return mask
+
+
+def left_sum(values: np.ndarray) -> float:
+    """Sum left to right with plain float adds, one per element.
+
+    ``sum`` is not used: from Python 3.12 it compensates float sums, and
+    numpy's pairwise sum groups the terms differently.
+    """
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def log_softmax_rows(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable (log_probs, probs) of each row; masked cells get prob 0."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1, keepdims=True)
+    return shifted - np.log(total), exp / total
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +175,31 @@ def head_masks(
 
 @dataclass(frozen=True)
 class PolicyOutput:
-    """Per-head categorical scores plus the critic's value estimate.
+    """Categorical scores of every head plus the critic's value estimate.
 
-    ``log_probs`` is derived from ``logits`` when not given, so a
-    hand-built output samples exactly like one from ``forward``.
+    ``logits``, ``probs`` and ``log_probs`` are (heads x widest head)
+    tables; masked cells hold ``MASKED_LOGIT`` and probability 0. Row ``i``
+    scores head ``i``. ``log_probs`` is derived from ``logits`` when not
+    given, so a hand-built output samples exactly like one from ``forward``.
     """
 
-    logits: tuple[np.ndarray, ...]
-    probs: tuple[np.ndarray, ...]
+    logits: np.ndarray
+    probs: np.ndarray
     value: float
     pooled: np.ndarray
-    log_probs: tuple[np.ndarray, ...] | None = None
+    log_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.log_probs is None:
-            derived = tuple(masked_log_softmax(head)[0] for head in self.logits)
-            object.__setattr__(self, "log_probs", derived)
+            object.__setattr__(self, "log_probs", log_softmax_rows(self.logits)[0])
 
+    def logprob(self, action: Sequence[int]) -> float:
+        """Joint log-probability of ``action``, one choice per head."""
+        return left_sum(self.log_probs[np.arange(len(action)), action])
 
-def masked_log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable (log_probs, probs) for one head; masked entries get prob 0."""
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
-    total = np.sum(exp)
-    log_probs = shifted - np.log(total)
-    return log_probs, exp / total
+    def head_entropies(self) -> np.ndarray:
+        """Entropy of each head's categorical."""
+        return -np.sum(self.probs * self.log_probs, axis=-1)
 
 
 def _layer_norm_forward(
@@ -210,14 +230,6 @@ def _layer_norm_backward(
     return d_x, d_gain, d_bias
 
 
-def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index from a probability vector; zero-mass entries never win."""
-    cumulative = np.cumsum(probs)
-    draw = rng.random() * cumulative[-1]
-    idx = int(np.searchsorted(cumulative, draw, side="right"))
-    return min(idx, len(probs) - 1)
-
-
 class PolicyNetwork:
     """Single-block encoder policy with one categorical head per sub-action.
 
@@ -240,24 +252,41 @@ class PolicyNetwork:
         if history_len < 1 or width < 1 or ffn_width < 1:
             raise ValueError("history_len, width and ffn_width must be >= 1")
         self.space = space
-        self.masks = head_masks(space, ops)
+        self.mask = head_masks(space, ops)
         self.head_sizes = space.head_sizes
         self.history_len = int(history_len)
         self.width = int(width)
         self.ffn_width = int(ffn_width)
         self._scale = 1.0 / np.sqrt(float(width))
-        tensors = self._init_params(rng)
+        # Head i owns choices [starts[i], starts[i] + sizes[i]) of the
+        # matrix columns and the first sizes[i] cells of table row i.
+        sizes = np.asarray(self.head_sizes)
+        starts = np.cumsum(sizes) - sizes
+        self._head_spans = tuple(zip(starts.tolist(), (starts + sizes).tolist()))
+        columns = np.arange(self.mask.shape[1])
+        inside = columns < sizes[:, None]
+        self._choice_of_cell = np.where(inside, starts[:, None] + columns, 0)
+        self._cell_of_choice = np.flatnonzero(inside)
+        self._last_choice = sizes - 1
+        tensors = self._init_params(rng, int(sizes.sum()))
         self._layout: list[tuple[str, int, int, tuple[int, ...]]] = []
         offset = 0
         for name, tensor in tensors.items():
             self._layout.append((name, offset, offset + tensor.size, tensor.shape))
             offset += tensor.size
         self.flat = np.concatenate([t.ravel() for t in tensors.values()])
-        self.params: Mapping[str, np.ndarray] = self.tensor_views(self.flat)
+        self._param_blocks = self._blocks(self.flat)
+        self.params: Mapping[str, np.ndarray] = self._named(self._param_blocks)
+        # ``backward`` writes here; its views are built once.
+        self.grad = np.empty_like(self.flat)
+        self._grad_blocks = self._blocks(self.grad)
+        self.grads: Mapping[str, np.ndarray] = self._named(self._grad_blocks)
 
     # -- parameters ---------------------------------------------------------
 
-    def _init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    def _init_params(
+        self, rng: np.random.Generator, choices: int
+    ) -> dict[str, np.ndarray]:
         obs_dim = self.space.vector_length
         d, f = self.width, self.ffn_width
 
@@ -265,7 +294,7 @@ class PolicyNetwork:
             limit = 1.0 / np.sqrt(float(rows))
             return rng.uniform(-limit, limit, size=(rows, cols))
 
-        params: dict[str, np.ndarray] = {
+        return {
             "embed.w": fan_in(obs_dim, d),
             "embed.b": np.zeros(d),
             "attn.wq": fan_in(d, d),
@@ -284,16 +313,33 @@ class PolicyNetwork:
             "ffn.b2": np.zeros(d),
             "ln2.g": np.ones(d),
             "ln2.b": np.zeros(d),
+            # Zero head outputs: step 0 samples uniformly over admissible choices.
+            "head.w": np.zeros((d, choices)),
+            "head.b": np.zeros(choices),
+            "value.w1": fan_in(d, d),
+            "value.b1": np.zeros(d),
+            "value.w2": np.zeros((d, 1)),
+            "value.b2": np.zeros(1),
         }
-        # Zero head outputs: step 0 samples uniformly over admissible choices.
-        for i, k in enumerate(self.head_sizes):
-            params[f"head.{i}.w"] = np.zeros((d, k))
-            params[f"head.{i}.b"] = np.zeros(k)
-        params["value.w1"] = fan_in(d, d)
-        params["value.b1"] = np.zeros(d)
-        params["value.w2"] = np.zeros((d, 1))
-        params["value.b2"] = np.zeros(1)
-        return params
+
+    def _blocks(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of ``vector`` per stored tensor, the head table whole."""
+        return {
+            name: vector[start:stop].reshape(shape)
+            for name, start, stop, shape in self._layout
+        }
+
+    def _named(self, blocks: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
+        """Public name -> view map: the head table split into its heads."""
+        named = {}
+        for name, block in blocks.items():
+            if name == "head.w":
+                for i, (lo, hi) in enumerate(self._head_spans):
+                    named[f"head.{i}.w"] = block[:, lo:hi]
+                    named[f"head.{i}.b"] = blocks["head.b"][lo:hi]
+            elif name != "head.b":
+                named[name] = block
+        return MappingProxyType(named)
 
     def tensor_views(self, vector: np.ndarray) -> Mapping[str, np.ndarray]:
         """Read-only name -> view map over a vector laid out like ``flat``.
@@ -301,12 +347,7 @@ class PolicyNetwork:
         The mapping is read-only so no entry can be rebound to an array
         outside the vector; write through the views instead (``[...] =``).
         """
-        return MappingProxyType(
-            {
-                name: vector[start:stop].reshape(shape)
-                for name, start, stop, shape in self._layout
-            }
-        )
+        return self._named(self._blocks(vector))
 
     @property
     def num_parameters(self) -> int:
@@ -334,7 +375,7 @@ class PolicyNetwork:
                 f"observation shape {x.shape} != "
                 f"({self.history_len}, {self.space.vector_length})"
             )
-        p = self.params
+        p = self._param_blocks
         embedded = x @ p["embed.w"] + p["embed.b"]
         q = embedded @ p["attn.wq"] + p["attn.bq"]
         k = embedded @ p["attn.wk"] + p["attn.bk"]
@@ -354,16 +395,9 @@ class PolicyNetwork:
         hidden2, ln2_cache = _layer_norm_forward(res2, p["ln2.g"], p["ln2.b"])
         pooled = hidden2.mean(axis=0)
 
-        logits: list[np.ndarray] = []
-        log_probs: list[np.ndarray] = []
-        probs: list[np.ndarray] = []
-        for i, mask in enumerate(self.masks):
-            raw = pooled @ p[f"head.{i}.w"] + p[f"head.{i}.b"]
-            masked = np.where(mask, raw, MASKED_LOGIT)
-            logits.append(masked)
-            head_log_probs, head_probs = masked_log_softmax(masked)
-            log_probs.append(head_log_probs)
-            probs.append(head_probs)
+        choices = pooled @ p["head.w"] + p["head.b"]
+        logits = np.where(self.mask, choices[self._choice_of_cell], MASKED_LOGIT)
+        log_probs, probs = log_softmax_rows(logits)
 
         value_pre = pooled @ p["value.w1"] + p["value.b1"]
         value_act = np.maximum(value_pre, 0.0)
@@ -371,8 +405,9 @@ class PolicyNetwork:
 
         if not np.isfinite(pooled).all():
             raise NumericsError("non-finite values in pooled latent")
-        if not np.isfinite(np.concatenate(logits)).all():
-            bad = next(i for i, h in enumerate(logits) if not np.isfinite(h).all())
+        finite = np.isfinite(logits).all(axis=-1)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
             raise NumericsError(f"non-finite values in head {bad} logits")
         if not np.isfinite(value):
             raise NumericsError("non-finite value estimate")
@@ -396,11 +431,11 @@ class PolicyNetwork:
             "value_act": value_act,
         }
         out = PolicyOutput(
-            logits=tuple(logits),
-            probs=tuple(probs),
+            logits=logits,
+            probs=probs,
             value=value,
             pooled=pooled,
-            log_probs=tuple(log_probs),
+            log_probs=log_probs,
         )
         return out, cache
 
@@ -412,23 +447,21 @@ class PolicyNetwork:
     def backward(
         self,
         cache: dict,
-        d_logits: Sequence[np.ndarray],
+        d_logits: np.ndarray,
         d_value: float,
-        grad: np.ndarray | None = None,
         accumulate: bool = False,
     ) -> Mapping[str, np.ndarray]:
         """Gradients of a scalar loss given its direct logit/value gradients.
 
-        ``d_logits[i]`` is d(loss)/d(logits of head i); entries at masked
-        positions are ignored (the mask blocks the forward path). Gradients
-        go into ``grad``, a vector laid out like ``flat`` (a fresh one when
-        omitted): overwriting it, or adding to it when ``accumulate`` is set.
-        Returns the named views into ``grad``, keyed exactly like ``params``.
+        ``d_logits`` is d(loss)/d(logits), a table shaped like ``mask``;
+        masked cells are ignored (the mask blocks the forward path).
+        Gradients go into ``grad``, the policy's own vector laid out like
+        ``flat``: overwriting it, or adding to it when ``accumulate`` is set.
+        Returns ``grads``, the named views into ``grad``, keyed exactly like
+        ``params``; the next call overwrites them.
         """
-        p = self.params
-        if grad is None:
-            grad = np.empty_like(self.flat)
-        grads = self.tensor_views(grad)
+        p = self._param_blocks
+        grads = self._grad_blocks
         rows = float(self.history_len)
         pooled = cache["pooled"]
 
@@ -446,12 +479,10 @@ class PolicyNetwork:
             else:
                 view[...] = value
 
-        d_pooled = np.zeros_like(pooled)
-        for i, mask in enumerate(self.masks):
-            dl = np.where(mask, np.asarray(d_logits[i], dtype=np.float64), 0.0)
-            emit(f"head.{i}.w", np.multiply, pooled[:, None], dl)  # outer product
-            store(f"head.{i}.b", dl)
-            d_pooled += p[f"head.{i}.w"] @ dl
+        d_choices = np.where(self.mask, d_logits, 0.0).take(self._cell_of_choice)
+        emit("head.w", np.multiply, pooled[:, None], d_choices)  # outer product
+        store("head.b", d_choices)
+        d_pooled = p["head.w"] @ d_choices
 
         dv = float(d_value)
         emit("value.w2", np.multiply, cache["value_act"][:, None], dv)
@@ -509,15 +540,24 @@ class PolicyNetwork:
 
         emit("embed.w", np.matmul, cache["x"].T, d_embedded)
         store("embed.b", d_embedded.sum(axis=0))
-        return grads
+        return self.grads
 
     # -- action interface ---------------------------------------------------
 
     def sample(
         self, out: PolicyOutput, rng: np.random.Generator
     ) -> tuple[tuple[int, ...], float, float]:
-        """Draw one sub-action per head; returns (action, logprob, entropy)."""
-        action = tuple(sample_categorical(probs, rng) for probs in out.probs)
+        """Draw one sub-action per head; returns (action, logprob, entropy).
+
+        One uniform per head, in head order, scaled by the head's total
+        mass, picks the first choice whose cumulative mass exceeds it
+        (``searchsorted(side="right")``), clamped to the head's size; so
+        zero-mass cells never win.
+        """
+        cumulative = np.cumsum(out.probs, axis=-1)
+        draws = rng.random(len(self.head_sizes)) * cumulative[:, -1]
+        picks = np.count_nonzero(cumulative <= draws[:, None], axis=-1)
+        action = tuple(np.minimum(picks, self._last_choice).tolist())
         return (action, *self.action_logprob_entropy(out, action))
 
     def action_logprob_entropy(
@@ -526,14 +566,9 @@ class PolicyNetwork:
         """Joint log-probability of ``action`` plus total head entropy."""
         if len(action) != len(out.logits):
             raise ValueError("action length does not match head count")
-        logprob = 0.0
-        entropy = 0.0
-        for log_probs, probs, idx in zip(out.log_probs, out.probs, action):
-            logprob += float(log_probs[int(idx)])
-            entropy += float(-np.sum(probs * log_probs))
-        return logprob, entropy
+        return out.logprob(action), left_sum(out.head_entropies())
 
 
 def confidence(out: PolicyOutput) -> np.ndarray:
     """Max categorical probability per head; 1.0 for single-choice heads."""
-    return np.array([float(np.max(p)) for p in out.probs])
+    return out.probs.max(axis=-1)

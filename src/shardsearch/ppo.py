@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import queue
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -27,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .env import EvalRecord, SearchEnv
+from .env import EvalRecord, SearchEnv, require_finite
 from .policy import (
     EliteBuffer,
     NumericsError,
@@ -35,6 +38,7 @@ from .policy import (
     PolicyOutput,
     build_observation,
     confidence,
+    left_sum,
 )
 from .strategy import canonical_fused_ops
 
@@ -57,6 +61,7 @@ class PpoConfig:
     ffn_width: int = 256
 
     def __post_init__(self) -> None:
+        require_finite("ppo", self)
         positive = {
             "budget": self.budget,
             "chunks": self.chunks,
@@ -135,14 +140,73 @@ class ChunkOutcome:
     evals_used: int
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Worker:
+    """One daemon thread that runs submitted calls in order."""
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="adam-worker", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            fn, args, reply = self._calls.get()
+            error = None
+            try:
+                fn(*args)
+            except Exception as exc:
+                error = exc
+            # Dropped before the reply: a finished call's arrays must not
+            # stay alive while the thread waits for the next call.
+            del fn, args
+            reply.put(error)
+            del error, reply
+
+    def submit(self, fn, *args) -> queue.SimpleQueue:
+        """Queue ``fn(*args)``; the returned queue receives None or its error."""
+        reply: queue.SimpleQueue = queue.SimpleQueue()
+        self._calls.put((fn, args, reply))
+        return reply
+
+
+_worker: _Worker | None = None
+
+
+def _adam_worker() -> _Worker:
+    """The process's worker, started on first use.
+
+    One per process, shared by every ``Adam``: each chunk builds a fresh
+    optimizer, and a thread per optimizer would outlive it. A forked child
+    inherits the object but not its thread, so a changed process id builds
+    a new one.
+    """
+    global _worker
+    if _worker is None or _worker.pid != os.getpid():
+        _worker = _Worker()
+    return _worker
+
+
 class Adam:
     """Adam with bias correction over one flat parameter vector.
 
     ``m`` and ``v`` are flat vectors shaped like the parameters; the
     learning rate is supplied per ``apply`` call. The update runs in place,
     ``BLOCK`` elements at a time, with the gradient block and one
-    block-sized scratch row as its only temporaries, so a step allocates
-    nothing.
+    block-sized scratch row per thread as its only temporaries, so a step
+    allocates nothing.
+
+    A vector of two or more blocks, in a process that may run on two CPUs,
+    is stepped on two threads: the caller steps the lower half of the
+    blocks while a worker thread steps the upper half. numpy releases the
+    GIL inside each ufunc and every element gets the same arithmetic, so
+    the result is bit-identical to a serial step.
     """
 
     BLOCK = 1 << 15
@@ -160,7 +224,11 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._scratch = np.empty(min(params.size, self.BLOCK))
+        blocks = -(-params.size // self.BLOCK)
+        split = blocks >= 2 and _usable_cpus() >= 2
+        # First element of the worker's blocks; None steps serially.
+        self._split = (blocks + 1) // 2 * self.BLOCK if split else None
+        self._scratch = np.empty((2 if split else 1, min(params.size, self.BLOCK)))
 
     def apply(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         """One step: ``params -= lr * m_hat / (sqrt(v_hat) + eps)``, in place.
@@ -171,12 +239,38 @@ class Adam:
         self.step_count += 1
         bias1 = 1.0 - self.beta1**self.step_count
         bias2 = 1.0 - self.beta2**self.step_count
-        for lo in range(0, params.size, self.BLOCK):
-            hi = min(lo + self.BLOCK, params.size)
+        step = (params, grad, lr, bias1, bias2)
+        if self._split is None:
+            self._steps(*step, 0, params.size, self._scratch[0])
+            return
+        reply = _adam_worker().submit(
+            self._steps, *step, self._split, params.size, self._scratch[1]
+        )
+        try:
+            self._steps(*step, 0, self._split, self._scratch[0])
+        finally:
+            error = reply.get()
+        if error is not None:
+            raise error
+
+    def _steps(
+        self,
+        params: np.ndarray,
+        grad: np.ndarray,
+        lr: float,
+        bias1: float,
+        bias2: float,
+        start: int,
+        stop: int,
+        scratch: np.ndarray,
+    ) -> None:
+        """Step elements ``[start, stop)``, one block at a time."""
+        for lo in range(start, stop, self.BLOCK):
+            hi = min(lo + self.BLOCK, stop)
             g = grad[lo:hi]
             m = self.m[lo:hi]
             v = self.v[lo:hi]
-            t = self._scratch[: hi - lo]
+            t = scratch[: hi - lo]
             v *= self.beta2
             np.multiply(1.0 - self.beta2, g, out=t)
             t *= g
@@ -244,7 +338,6 @@ def loss_and_grads(
     policy: PolicyNetwork,
     batch: RolloutBatch,
     cfg: PpoConfig,
-    grad: np.ndarray | None = None,
     reuse_forward: bool = False,
 ) -> tuple[LossReport, Mapping[str, np.ndarray]]:
     """Clipped-surrogate PPO loss and its exact parameter gradients.
@@ -256,8 +349,8 @@ def loss_and_grads(
     averaged over the batch. rho multiplies per-head probabilities, i.e. it
     exponentiates the summed log-probs.
 
-    The gradient is written into ``grad`` (laid out like ``policy.flat``; a
-    fresh vector when omitted) and returned as named views into it. With
+    The gradient is written into ``policy.grad`` and returned as the
+    policy's named views into it, which the next call overwrites. With
     ``reuse_forward`` each sample's stored forward pass stands in for a new
     one, which is exact only while the parameters are those it was taken
     under.
@@ -265,8 +358,6 @@ def loss_and_grads(
     n = len(batch)
     if n == 0:
         raise ValueError("empty rollout batch")
-    if grad is None:
-        grad = np.empty_like(policy.flat)
     grads: Mapping[str, np.ndarray] | None = None
     policy_loss = 0.0
     value_loss = 0.0
@@ -286,15 +377,9 @@ def loss_and_grads(
         else:
             out, cache = policy.forward_cached(sample.obs)
         advantage = sample.reward - sample.value_old
-
-        logprob_new = 0.0
-        per_head: list[tuple[np.ndarray, np.ndarray, float]] = []
-        entropy = 0.0
-        for log_probs, probs, idx in zip(out.log_probs, out.probs, sample.action):
-            logprob_new += float(log_probs[idx])
-            head_entropy = float(-np.sum(probs * log_probs))
-            entropy += head_entropy
-            per_head.append((log_probs, probs, head_entropy))
+        logprob_new = out.logprob(sample.action)
+        head_entropy = out.head_entropies()
+        entropy = left_sum(head_entropy)
 
         ratio = math.exp(logprob_new - sample.logprob_old)
         unclipped = ratio * advantage
@@ -315,17 +400,16 @@ def loss_and_grads(
 
         d_value = 2.0 * cfg.value_coef * value_err / n
         d_logprob = d_ratio * ratio
-        d_logits = []
-        for (log_probs, probs, head_entropy), idx in zip(per_head, sample.action):
-            one_hot = np.zeros_like(probs)
-            one_hot[idx] = 1.0
-            d_head = d_logprob * (one_hot - probs)
-            # d(-coef * H)/d logit_j = coef * p_j (log p_j + H); masked
-            # entries contribute exactly zero because p_j = 0 there.
-            d_head += cfg.entropy_coef * probs * (log_probs + head_entropy) / n
-            d_logits.append(d_head)
+        one_hot = np.zeros_like(out.probs)
+        one_hot[np.arange(len(sample.action)), sample.action] = 1.0
+        d_logits = d_logprob * (one_hot - out.probs)
+        # d(-coef * H)/d logit_j = coef * p_j (log p_j + H); masked
+        # cells contribute exactly zero because p_j = 0 there.
+        d_logits += (
+            cfg.entropy_coef * out.probs * (out.log_probs + head_entropy[:, None]) / n
+        )
 
-        grads = policy.backward(cache, d_logits, d_value, grad, accumulate=i > 0)
+        grads = policy.backward(cache, d_logits, d_value, accumulate=i > 0)
 
     total = policy_loss + value_loss - cfg.entropy_coef * entropy_total
     if not math.isfinite(total):
@@ -358,11 +442,10 @@ def ppo_update(
     aborts the run.
     """
     reports = []
-    grad = np.empty_like(policy.flat)
     for epoch in range(cfg.epochs_per_update):
         # Epoch 0 runs under the parameters the batch was collected with.
-        report, _ = loss_and_grads(policy, batch, cfg, grad, reuse_forward=epoch == 0)
-        optimizer.apply(policy.flat, grad, lr)
+        report, _ = loss_and_grads(policy, batch, cfg, reuse_forward=epoch == 0)
+        optimizer.apply(policy.flat, policy.grad, lr)
         policy.check_finite()
         reports.append(
             LossReport(
@@ -488,6 +571,9 @@ def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> SearchReport:
         # the last scheduled chunk spend what an early exit there left over.
         scheduled = min(len(restarts) + 1, cfg.chunks)
         allowance = scheduled * chunk_budget - evals_done
+        restarts.append(evals_done)
+        # Each agent owns parameter and gradient vectors; it is freed before
+        # the next one is built.
         policy = PolicyNetwork(
             env.space,
             ops,
@@ -496,8 +582,8 @@ def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> SearchReport:
             width=cfg.width,
             ffn_width=cfg.ffn_width,
         )
-        restarts.append(evals_done)
         outcome = run_chunk(env, policy, buf, allowance, cfg, rng)
+        del policy
         evals_done += outcome.evals_used
 
     records = env.eval_log[first_record : first_record + evals_done]

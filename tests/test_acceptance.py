@@ -257,7 +257,9 @@ def test_gradients_collective_costs_breakdown_and_codec_are_exact(tiny_cfg):
         )
     batch = RolloutBatch(tuple(samples))
     cfg = PpoConfig(budget=8, chunks=1, width=8, ffn_width=8)
-    _, grads = loss_and_grads(policy, batch, cfg)
+    # Copied: the returned views are the policy's own, and the probes below
+    # overwrite them.
+    grads = {name: g.copy() for name, g in loss_and_grads(policy, batch, cfg)[1].items()}
     step = 1e-5
     for name, tensor in policy.params.items():
         for idx in np.ndindex(tensor.shape):

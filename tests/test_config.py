@@ -1,6 +1,9 @@
 """Strict YAML config parsing and the shipped experiment configs."""
 
+import re
+
 import pytest
+import yaml
 
 from shardsearch.config import (
     ConfigError,
@@ -11,6 +14,20 @@ from shardsearch.config import (
 )
 from shardsearch.model import count_parameters
 from shardsearch.strategy import AxisChoice
+
+
+# Every float field of the learner, reward and annealing sections.
+FLOAT_KNOBS = (
+    "ppo.lr_initial",
+    "ppo.clip_eps",
+    "ppo.value_coef",
+    "ppo.entropy_coef",
+    "ppo.tau",
+    "reward.alpha",
+    "reward.beta",
+    "reward.invalid_penalty",
+    "sa.t_initial",
+)
 
 
 def minimal_doc(**overrides):
@@ -123,6 +140,20 @@ class TestStrictParsing:
         doc = minimal_doc(ppo={"budget": 10, "chunks": 3})
         with pytest.raises(ConfigError, match="divide"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", FLOAT_KNOBS)
+    def test_non_finite_knob_named(self, key, value):
+        section, name = key.split(".")
+        doc = minimal_doc(**{section: {name: value}})
+        with pytest.raises(ConfigError, match=rf"{re.escape(key)} must be finite"):
+            parse_config(doc)
+
+    def test_yaml_nan_knob_fails_at_load(self, tmp_path):
+        path = tmp_path / "nan.yaml"
+        path.write_text(yaml.safe_dump(minimal_doc()) + "ppo:\n  tau: .nan\n")
+        with pytest.raises(ConfigError, match="ppo.tau must be finite"):
+            load_config(path)
 
 
 class TestActionSpaceSection:

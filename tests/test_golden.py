@@ -12,6 +12,9 @@ tolerance. ``run-tiny-budget100/`` holds the ``summary.json`` of each
 ``search`` on tiny (ppo, sa and rw at budget 100 over seeds 0-1, and the
 exhaustive sweep) and the ``table.csv`` and ``curves.csv`` that ``report``
 writes over all four; they are compared byte for byte.
+``panels-ppo-budget1000.json`` holds the sha256 of each ``seed_*/evals.ndjson``
+that ``search --algo ppo --budget 1000`` writes on the benchmark's two PPO
+panels: ``moe_1p2t_h100`` seeds 0-3 and ``tiny`` seeds 0-7.
 
 To rewrite the files after an intended change of behaviour, run
 
@@ -21,6 +24,7 @@ and say in the change log why the logs moved.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import tempfile
@@ -41,6 +45,9 @@ CASES = (("tiny", 0), ("tiny", 1), ("moe_1p2t_h100", 0))
 TABLES = (("tiny", "full"), ("moe_1p2t_h100", "megatron"))
 RUN_DIR = GOLDEN_DIR / "run-tiny-budget100"
 RUN_ALGOS = ("ppo", "sa", "rw", "exhaustive")
+PANEL_BUDGET = 1000
+PANELS = (("moe_1p2t_h100", 4), ("tiny", 8))
+PANEL_PATH = GOLDEN_DIR / f"panels-ppo-budget{PANEL_BUDGET}.json"
 
 
 def golden_path(config: str, seed: int) -> Path:
@@ -115,6 +122,25 @@ def run_outputs(work: Path) -> dict[str, bytes]:
     return outputs
 
 
+def panel_digests(config: str, seeds: int, work: Path) -> list[str]:
+    """sha256 of each seed's eval log from one PPO search over the panel."""
+    argv = ["search", "--config", config, "--algo", "ppo", "--out", str(work)]
+    assert main(argv + ["--budget", str(PANEL_BUDGET), "--seeds", str(seeds)]) == 0
+    return [
+        hashlib.sha256((work / f"seed_{seed}" / "evals.ndjson").read_bytes()).hexdigest()
+        for seed in range(seeds)
+    ]
+
+
+@pytest.mark.parametrize("config,seeds", PANELS)
+def test_ppo_panel_logs_match_golden(config, seeds, tmp_path):
+    expected = json.loads(PANEL_PATH.read_text(encoding="utf-8"))["sha256"][config]
+    assert len(expected) == seeds
+    actual = panel_digests(config, seeds, tmp_path / config)
+    moved = [seed for seed in range(seeds) if actual[seed] != expected[seed]]
+    assert not moved, f"{config}: the eval logs of seeds {moved} differ from the golden digests"
+
+
 def test_run_outputs_match_golden(tmp_path):
     outputs = run_outputs(tmp_path)
     assert sorted(outputs) == sorted(p.name for p in RUN_DIR.iterdir())
@@ -166,3 +192,16 @@ if __name__ == "__main__":
         for name, data in run_outputs(Path(work)).items():
             (RUN_DIR / name).write_bytes(data)
             print(f"wrote {RUN_DIR / name}")
+    with tempfile.TemporaryDirectory() as work:
+        digests = {
+            config: panel_digests(config, seeds, Path(work) / config)
+            for config, seeds in PANELS
+        }
+    payload = {
+        "algo": "ppo",
+        "budget": PANEL_BUDGET,
+        "file": "seed_<n>/evals.ndjson",
+        "sha256": digests,
+    }
+    PANEL_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {PANEL_PATH}")

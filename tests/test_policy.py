@@ -19,7 +19,6 @@ from shardsearch.policy import (
     build_observation,
     confidence,
     head_masks,
-    sample_categorical,
 )
 from shardsearch.strategy import (
     ActionSpaceSpec,
@@ -187,10 +186,11 @@ class TestBuildObservation:
 class TestHeadMasks:
     def test_masks_follow_op_admissibility(self):
         masks = head_masks(toy_space(), toy_ops())
-        assert [m.tolist() for m in masks[:4]] == [
-            [True, True],
-            [True, True],
-            [True],
+        # One row per head, padded to the widest head (3 choices).
+        assert masks[:4].tolist() == [
+            [True, True, False],
+            [True, True, False],
+            [True, False, False],
             [True, True, True],
         ]
         assert masks[4].tolist() == [True, True, True]  # both axes
@@ -213,7 +213,8 @@ class TestForward:
     def test_fresh_policy_is_uniform_over_admissible_choices(self):
         policy = toy_policy()
         out = policy.forward(np.zeros((3, 7)))
-        np.testing.assert_allclose(out.probs[0], [0.5, 0.5])
+        np.testing.assert_allclose(out.probs[0], [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(out.probs[2], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(out.probs[3], [1 / 3] * 3)
         np.testing.assert_allclose(out.probs[4], [1 / 3] * 3)
         np.testing.assert_allclose(out.probs[5], [0.5, 0.0, 0.5])
@@ -261,6 +262,9 @@ class TestForward:
         assert out.logits[5][1] == MASKED_LOGIT
         assert out.probs[5][1] == 0.0
         assert out.probs[6][1] == 0.0 and out.probs[6][2] == 0.0
+        # Padding cells past a head's size are masked the same way.
+        assert out.logits[0][2] == MASKED_LOGIT and out.probs[0][2] == 0.0
+        assert out.probs[2][1] == 0.0 and out.probs[2][2] == 0.0
 
     def test_non_finite_parameter_surfaces_as_numerics_error(self):
         policy = toy_policy()
@@ -293,15 +297,12 @@ class TestForward:
 class TestSample:
     def test_one_hot_logits_sample_deterministically(self):
         policy = toy_policy()
-        logits = []
-        for mask in policy.masks:
-            head = np.full(mask.shape, -20.0)
-            head[0] = 20.0
-            logits.append(np.where(mask, head, MASKED_LOGIT))
-        probs = tuple(np.exp(l - l.max()) / np.exp(l - l.max()).sum() for l in logits)
-        out = PolicyOutput(
-            logits=tuple(logits), probs=probs, value=0.0, pooled=np.zeros(8)
-        )
+        head = np.full(policy.mask.shape, -20.0)
+        head[:, 0] = 20.0
+        logits = np.where(policy.mask, head, MASKED_LOGIT)
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        out = PolicyOutput(logits=logits, probs=probs, value=0.0, pooled=np.zeros(8))
         rng = np.random.default_rng(0)
         for _ in range(20):
             action, _, entropy = policy.sample(out, rng)
@@ -309,19 +310,51 @@ class TestSample:
             assert entropy < 1e-8
 
     def test_uniform_head_frequencies_within_two_percent(self):
+        policy = toy_policy()
+        out = admissible_uniform_output(policy)
+        np.testing.assert_array_equal(out.probs[3], np.full(3, 1.0 / 3.0))
         rng = np.random.default_rng(7)
-        probs = np.full(3, 1.0 / 3.0)
         counts = np.zeros(3)
         draws = 100_000
         for _ in range(draws):
-            counts[sample_categorical(probs, rng)] += 1
-        np.testing.assert_allclose(counts / draws, probs, atol=0.02)
+            counts[policy.sample(out, rng)[0][3]] += 1
+        np.testing.assert_allclose(counts / draws, out.probs[3], atol=0.02)
 
     def test_zero_probability_entries_never_sampled(self):
+        policy = toy_policy()
+        out = admissible_uniform_output(policy)
+        np.testing.assert_array_equal(out.probs[5], [0.5, 0.0, 0.5])
         rng = np.random.default_rng(3)
-        probs = np.array([0.5, 0.0, 0.5])
-        seen = {sample_categorical(probs, rng) for _ in range(5000)}
-        assert 1 not in seen
+        actions = [policy.sample(out, rng)[0] for _ in range(5000)]
+        assert 1 not in {action[5] for action in actions}
+        assert {action[2] for action in actions} == {0}  # padding never wins
+        assert {action[6] for action in actions} == {0}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sample_matches_per_head_searchsorted_reference(self, data):
+        coarse = data.draw(st.tuples(*(st.integers(min_value=1, max_value=5),) * 4))
+        ops = data.draw(st.integers(min_value=1, max_value=3))
+        space = ActionSpaceSpec(
+            *(tuple(range(1, k + 1)) for k in coarse),
+            op_names=("alpha", "beta", "gamma")[:ops],
+        )
+        policy = PolicyNetwork(
+            space, toy_ops(), rng=np.random.default_rng(0), width=2, ffn_width=2
+        )
+        weight = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
+        probs = np.zeros(policy.mask.shape)
+        for row, k in enumerate(space.head_sizes):
+            weights = data.draw(st.lists(weight, min_size=k, max_size=k).filter(any))
+            probs[row, :k] = np.asarray(weights) / np.sum(weights)
+        logits = np.log(probs, where=probs > 0, out=np.full(probs.shape, MASKED_LOGIT))
+        out = PolicyOutput(logits=logits, probs=probs, value=0.0, pooled=np.zeros(2))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        action = policy.sample(out, rng)[0]
+        heads = [probs[row, :k] for row, k in enumerate(space.head_sizes)]
+        assert action == reference_sample(heads, reference_rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_logprob_matches_recomputed_log_softmax(self):
         policy = toy_policy(seed=11)
@@ -355,6 +388,24 @@ class TestSample:
             policy.action_logprob_entropy(out, (0, 0))
 
 
+def admissible_uniform_output(policy):
+    """A hand-built output, uniform over each head's admissible choices."""
+    logits = np.where(policy.mask, 0.0, MASKED_LOGIT)
+    probs = policy.mask / policy.mask.sum(axis=1, keepdims=True)
+    return PolicyOutput(logits=logits, probs=probs, value=0.0, pooled=np.zeros(policy.width))
+
+
+def reference_sample(heads, rng):
+    """Per-head inverse-CDF draws, one scalar uniform per head in order."""
+    action = []
+    for probs in heads:
+        cumulative = np.cumsum(probs)
+        draw = rng.random() * cumulative[-1]
+        idx = int(np.searchsorted(cumulative, draw, side="right"))
+        action.append(min(idx, len(probs) - 1))
+    return tuple(action)
+
+
 class TestConfidence:
     def test_uniform_logits_give_one_over_k(self):
         policy = toy_policy()
@@ -373,8 +424,8 @@ class TestConfidence:
         probs = np.array([np.exp(2.0), 1.0])
         probs /= probs.sum()
         out = PolicyOutput(
-            logits=(np.array([2.0, 0.0]),),
-            probs=(probs,),
+            logits=np.array([[2.0, 0.0]]),
+            probs=probs[None, :],
             value=0.0,
             pooled=np.zeros(1),
         )
@@ -383,8 +434,8 @@ class TestConfidence:
     def test_one_hot_confidence_saturates(self):
         probs = np.array([1.0, 0.0, 0.0])
         out = PolicyOutput(
-            logits=(np.array([40.0, -40.0, -40.0]),),
-            probs=(probs,),
+            logits=np.array([[40.0, -40.0, -40.0]]),
+            probs=probs[None, :],
             value=0.0,
             pooled=np.zeros(1),
         )
@@ -420,7 +471,7 @@ class TestGradients:
     def scalar_loss(policy, obs, coeffs, value_coeff):
         out = policy.forward(obs)
         total = value_coeff * out.value
-        for c, logits, mask in zip(coeffs, out.logits, policy.masks):
+        for c, logits, mask in zip(coeffs, out.logits, policy.mask):
             total += float(np.sum(np.where(mask, c * logits, 0.0)))
         return total
 
@@ -428,11 +479,11 @@ class TestGradients:
         policy = self.randomized_policy(seed=0)
         rng = np.random.default_rng(77)
         obs = rng.random((3, 7))
-        coeffs = [rng.normal(size=m.shape) for m in policy.masks]
+        coeffs = [rng.normal(size=m.shape) for m in policy.mask]
         value_coeff = float(rng.normal())
 
         out, cache = policy.forward_cached(obs)
-        d_logits = [np.where(m, c, 0.0) for c, m in zip(coeffs, policy.masks)]
+        d_logits = np.where(policy.mask, coeffs, 0.0)
         grads = policy.backward(cache, d_logits, value_coeff)
         assert set(grads) == set(policy.params)
 
@@ -459,7 +510,7 @@ class TestGradients:
         policy = self.randomized_policy(seed=1)
         obs = np.random.default_rng(8).random((3, 7))
         out, cache = policy.forward_cached(obs)
-        d_logits = [np.ones(m.shape) for m in policy.masks]
+        d_logits = np.ones(policy.mask.shape)
         grads = policy.backward(cache, d_logits, 0.0)
         # Head 6 admits only choice 0; its masked columns must not move.
         assert np.all(grads["head.6.w"][:, 1:] == 0.0)

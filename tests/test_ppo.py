@@ -7,6 +7,13 @@ gradient wiring end to end (surrogate, value, entropy terms together).
 import itertools
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -212,6 +219,94 @@ class TestAdam:
         for name, tensor in policy.params.items():
             np.testing.assert_array_equal(tensor, expected[name], err_msg=name)
 
+    def test_import_and_a_single_block_search_start_no_thread(self):
+        # A fresh interpreter, so no earlier test has started the worker.
+        script = textwrap.dedent(
+            """
+            import dataclasses, sys, threading
+            from shardsearch.config import load_config, packaged_config_path
+            from shardsearch.env import SearchEnv
+            from shardsearch.ppo import run_search
+            assert "concurrent.futures" not in sys.modules
+            threads = threading.active_count()
+            cfg = load_config(packaged_config_path("tiny"))
+            env = SearchEnv(cfg.model, cfg.hardware, cfg.space,
+                            context_len=cfg.simulation.context_len, budget=10,
+                            reward=cfg.reward, slo_tpot=cfg.simulation.slo_tpot)
+            run_search(env, dataclasses.replace(cfg.ppo, budget=10), seed=0)
+            assert threading.active_count() == threads, threading.enumerate()
+            """
+        )
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
+
+    def test_worker_keeps_no_reference_to_a_finished_step(self):
+        params = np.zeros(3 * Adam.BLOCK)
+        opt = Adam(params)
+        opt.apply(params, np.ones(params.size), 1e-3)
+        refs = [weakref.ref(params), weakref.ref(opt.m)]
+        del params, opt
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_concurrent_callers_each_get_their_own_step(self):
+        # More callers than cores share the one worker thread. Each call must
+        # wait for its own upper half, so the parameters read right after
+        # every step equal those of the same steps taken alone.
+        rng = np.random.default_rng(5)
+        start = rng.normal(size=3 * Adam.BLOCK + 7)
+        grads = [rng.normal(size=start.size) for _ in range(4)]
+
+        def trajectory(grad):
+            params = start.copy()
+            opt = Adam(params)
+            seen = []
+            for _ in range(10):
+                opt.apply(params, grad.copy(), 1e-3)
+                seen.append(params.copy())
+            return seen
+
+        expected = [trajectory(grad) for grad in grads]
+        results = [None] * len(grads)
+
+        def run(i):
+            results[i] = trajectory(grads[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(grads))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(np.array(got), np.array(want))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs the fork start method")
+    def test_forked_child_steps_a_multi_block_vector(self):
+        params = np.linspace(-1.0, 1.0, 3 * Adam.BLOCK + 5)
+        grad = np.cos(7.0 * params)
+        expected = params.copy()
+        Adam(expected).apply(expected, grad.copy(), 1e-3)
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert any(t.name == "adam-worker" for t in threading.enumerate())
+
+        def child():
+            stepped = params.copy()
+            Adam(stepped).apply(stepped, grad.copy(), 1e-3)
+            sys.exit(0 if np.array_equal(stepped, expected) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("forked child did not finish its Adam step")
+        assert proc.exitcode == 0
+
 
 class TestCollect:
     def test_consumes_exactly_n_budget_units(self):
@@ -281,7 +376,7 @@ class TestPpoUpdate:
 
     def test_reused_forward_equals_fresh_forward(self):
         def arrays(out, cache):
-            yield from out.logits + out.probs + out.log_probs
+            yield from (out.logits, out.probs, out.log_probs)
             yield out.pooled
             yield np.array(out.value)
             for entry in cache.values():
@@ -299,6 +394,7 @@ class TestPpoUpdate:
         reused, reused_grads = loss_and_grads(
             policy, batch, small_cfg(), reuse_forward=True
         )
+        reused_grads = {name: g.copy() for name, g in reused_grads.items()}
         recomputed, fresh_grads = loss_and_grads(policy, batch, small_cfg())
         assert reused.total_loss == recomputed.total_loss
         assert reused.mean_ratio == recomputed.mean_ratio
@@ -390,7 +486,9 @@ class TestPpoUpdate:
         batch = RolloutBatch(tuple(samples))
         cfg = small_cfg()
 
-        _, grads = loss_and_grads(policy, batch, cfg)
+        # Copied: the returned views are the policy's own, and the probes
+        # below overwrite them.
+        grads = {name: g.copy() for name, g in loss_and_grads(policy, batch, cfg)[1].items()}
         step = 1e-5
         for name, tensor in policy.params.items():
             for idx in np.ndindex(tensor.shape):
