@@ -160,7 +160,8 @@ def _parse_space(section: Mapping[str, Any], model: ModelSpec) -> ActionSpaceSpe
             kwargs[field] = _as_int_tuple(section[key], f"action_space.{key}")
 
     # The searched operators default to all of the model's own operators.
-    known_ops = [op.name for op in canonical_fused_ops(model)]
+    op_by_name = {op.name: op for op in canonical_fused_ops(model)}
+    known_ops = list(op_by_name)
     raw_ops = section.get("ops", "all")
     if raw_ops == "all":
         ops = tuple(known_ops)
@@ -187,7 +188,11 @@ def _parse_space(section: Mapping[str, Any], model: ModelSpec) -> ActionSpaceSpe
                 raise ConfigError(
                     f"action_space.pins names unknown operator '{name}'; known: {known_ops}"
                 )
-            pins.append((name, _as_axis(axis, f"action_space.pins.{name}")))
+            path = f"action_space.pins.{name}"
+            axis = _as_axis(axis, path)
+            if not op_by_name[name].admits(axis):
+                raise ConfigError(f"{path}: {name} does not admit shard axis '{axis.name.lower()}'")
+            pins.append((name, axis))
         kwargs["pinned"] = tuple(pins)
 
     try:

@@ -1,21 +1,22 @@
 """Layout propagation over the tensor-parallel group.
 
 Activations flowing between fused operators live in one of three
-distribution states relative to the TP group:
+distribution states over the strategy's TP group:
 
-    replicated    every device holds the full tensor
-    sharded(d)    the tensor is split along axis d, one slice per device
-    partial_sum   every device holds a full-shape partial term; the true
-                  tensor is the elementwise sum over the group
+    replicated      every device holds the full tensor
+    sharded(dim1)   the feature axis is split, one slice per device
+    partial_sum     every device holds a full-shape partial term; the true
+                    tensor is the elementwise sum over the group
 
-Each operator, given its weight shard axis, demands a specific input state
-and yields a specific output state. Whenever the producer state and the
-consumer demand disagree, exactly one collective reconciles them:
+On a one-device group every state is replicated. Each operator, given its
+weight shard axis, demands one input state and yields one output state
+(``_RULES``). Whenever the producer state and the consumer demand disagree,
+exactly one collective reconciles them (``_RECONCILE``):
 
-    from \\ to     replicated      sharded(d)        partial_sum
-    replicated    (no-op)         no-op local slice  --
-    sharded(d)    all_gather      no-op / all_to_all --
-    partial_sum   all_reduce      reduce_scatter     (no-op)
+    from \\ to     replicated      sharded(dim1)
+    replicated    (no-op)         no-op local slice
+    sharded       all_gather      (no-op)
+    partial_sum   all_reduce      reduce_scatter
 
 Planning walks a layer's operator sequence once, inserts the table's
 collective at every disagreement, and restores the replicated state at block
@@ -33,7 +34,7 @@ from .strategy import AxisChoice, FusedOpDescriptor, OpClass, Strategy
 
 class LayoutKind(Enum):
     REPLICATED = "replicated"
-    SHARDED = "sharded"
+    SHARDED = "sharded(dim1)"
     PARTIAL_SUM = "partial_sum"
 
 
@@ -56,49 +57,6 @@ class LayoutError(ValueError):
 
 
 @dataclass(frozen=True)
-class TensorLayout:
-    """Distribution state of one activation tensor over a device group."""
-
-    kind: LayoutKind
-    group_size: int
-    axis: AxisChoice | None = None
-
-    def __post_init__(self) -> None:
-        if self.group_size < 1:
-            raise LayoutError(f"group_size must be >= 1, got {self.group_size}")
-        if self.kind is LayoutKind.SHARDED:
-            if self.axis not in (AxisChoice.DIM0, AxisChoice.DIM1):
-                raise LayoutError(f"sharded layout needs a shard axis, got {self.axis!r}")
-        elif self.axis is not None:
-            raise LayoutError(f"{self.kind.value} layout carries no axis")
-        if self.group_size == 1 and self.kind is not LayoutKind.REPLICATED:
-            raise LayoutError("group of one device can only be replicated")
-
-    @staticmethod
-    def replicated(group_size: int) -> "TensorLayout":
-        return TensorLayout(LayoutKind.REPLICATED, group_size)
-
-    @staticmethod
-    def sharded(axis: AxisChoice, group_size: int) -> "TensorLayout":
-        # A one-device group cannot be meaningfully sharded; collapse rather
-        # than error so planning code never special-cases tp=1.
-        if group_size == 1:
-            return TensorLayout.replicated(1)
-        return TensorLayout(LayoutKind.SHARDED, group_size, axis)
-
-    @staticmethod
-    def partial_sum(group_size: int) -> "TensorLayout":
-        if group_size == 1:
-            return TensorLayout.replicated(1)
-        return TensorLayout(LayoutKind.PARTIAL_SUM, group_size)
-
-    def describe(self) -> str:
-        if self.kind is LayoutKind.SHARDED:
-            return f"sharded(dim{int(self.axis) - 1})"
-        return self.kind.value
-
-
-@dataclass(frozen=True)
 class CollectiveOp:
     """One communication step: what moves, over how many devices, on which wire."""
 
@@ -116,103 +74,52 @@ class CollectiveOp:
         )
 
 
-def transition(
-    src: TensorLayout,
-    dst: TensorLayout,
-    payload_bytes: float,
-    interconnect: Interconnect,
-    purpose: str = "",
-) -> CollectiveOp:
-    """Single collective that converts ``src`` into ``dst``.
+_R, _S, _P = LayoutKind.REPLICATED, LayoutKind.SHARDED, LayoutKind.PARTIAL_SUM
+_U, _D0, _D1 = AxisChoice.UNSHARDED, AxisChoice.DIM0, AxisChoice.DIM1
 
-    ``payload_bytes`` is the size of the full logical tensor being
-    reconciled. Identical layouts and replicated-to-sharded (a local slice)
-    cost nothing. Replicated-to-partial_sum has no meaning and raises.
-    """
-    if src.group_size != dst.group_size:
-        raise LayoutError(f"transition across group sizes {src.group_size} != {dst.group_size}")
+# (input demanded, output yielded) per op class and admitted axis. A matmul
+# split on its output axis yields sharded features; one split on its
+# contraction axis must see sharded features and leaves partial terms.
+# Elementwise ops take whatever arrives and pass it on (None, None).
+_MATMUL = {_U: (_R, _R), _D1: (_R, _S), _D0: (_S, _P)}
+_RULES = {
+    OpClass.DENSE_MATMUL: _MATMUL,
+    OpClass.MOE_MATMUL: _MATMUL,
+    OpClass.ATTENTION_CORE: {_U: (_R, _R), _D1: (_S, _S)},
+    OpClass.ROUTER: {_U: (_R, _R)},
+    OpClass.ELEMENTWISE: {_U: (None, None)},
+}
 
-    def make(kind: CollectiveKind) -> CollectiveOp:
-        return CollectiveOp(kind, src.group_size, payload_bytes, interconnect, purpose)
-
-    if src == dst:
-        return make(CollectiveKind.NO_OP)
-    if src.kind is LayoutKind.REPLICATED:
-        if dst.kind is LayoutKind.SHARDED:
-            return make(CollectiveKind.NO_OP)  # every device slices locally
-        raise LayoutError("replicated -> partial_sum has no collective meaning")
-    if src.kind is LayoutKind.SHARDED:
-        if dst.kind is LayoutKind.REPLICATED:
-            return make(CollectiveKind.ALL_GATHER)
-        if dst.kind is LayoutKind.SHARDED:  # differing axes, resharding
-            return make(CollectiveKind.ALL_TO_ALL)
-        raise LayoutError("sharded -> partial_sum has no collective meaning")
-    # src is partial_sum
-    if dst.kind is LayoutKind.REPLICATED:
-        return make(CollectiveKind.ALL_REDUCE)
-    if dst.kind is LayoutKind.SHARDED:
-        return make(CollectiveKind.REDUCE_SCATTER)
-    raise LayoutError("unreachable transition")  # pragma: no cover
+# (from, to) -> the one collective that turns a producer's state into a
+# consumer's demand; equal states need none, and no pair ends partial_sum.
+_RECONCILE = {
+    (_R, _S): CollectiveKind.NO_OP,  # every device slices locally
+    (_S, _R): CollectiveKind.ALL_GATHER,
+    (_P, _R): CollectiveKind.ALL_REDUCE,
+    (_P, _S): CollectiveKind.REDUCE_SCATTER,
+}
 
 
-def _required_input(
+def op_layouts(
     op: FusedOpDescriptor, axis: AxisChoice, tp: int
-) -> TensorLayout | None:
-    """Input state an operator demands under a shard axis; None accepts any."""
-    if op.op_class is OpClass.ELEMENTWISE:
-        return None
-    if op.op_class is OpClass.ROUTER:
-        return TensorLayout.replicated(tp)
-    if op.op_class is OpClass.ATTENTION_CORE:
-        if axis is AxisChoice.DIM1:
-            return TensorLayout.sharded(AxisChoice.DIM1, tp)
-        return TensorLayout.replicated(tp)
-    # dense and MoE matmuls: contraction must see the full reduction axis
-    if axis is AxisChoice.DIM0:
-        return TensorLayout.sharded(AxisChoice.DIM1, tp)
-    return TensorLayout.replicated(tp)
+) -> tuple[LayoutKind | None, LayoutKind | None]:
+    """(input demanded, output yielded) by ``op`` under ``axis`` on ``tp`` devices.
 
-
-def infer_output_layout(
-    op: FusedOpDescriptor,
-    input_layout: TensorLayout,
-    axis: AxisChoice,
-) -> TensorLayout:
-    """Output state produced by ``op`` under ``axis`` given a compatible input.
-
-    Raises LayoutError when the axis is inadmissible for the operator, the
-    sharded extent does not divide evenly, or the input state is not the one
-    the operator demands. Reconciliation collectives are the consumer's
-    business, never folded in here.
+    None, None marks an elementwise pass-through. Raises LayoutError when the
+    axis is inadmissible for the operator or its sharded extent does not
+    divide evenly over the group.
     """
-    tp = input_layout.group_size
     if not op.admits(axis):
         raise LayoutError(f"{op.name} does not admit shard axis {axis.name}")
-    if axis is not AxisChoice.UNSHARDED and tp > 1:
-        extent = op.extents[axis]
-        if extent % tp != 0:
-            raise LayoutError(
-                f"{op.name} cannot shard {axis.name}: extent {extent} not divisible by tp={tp}"
-            )
-    required = _required_input(op, axis, tp)
-    if required is not None and input_layout != required:
+    demanded, yielded = _RULES[op.op_class][axis]
+    if tp == 1:
+        return (None, None) if demanded is None else (_R, _R)
+    if axis is not _U and op.extents[axis] % tp != 0:
         raise LayoutError(
-            f"{op.name} with axis {axis.name} needs input {required.describe()}, "
-            f"got {input_layout.describe()}"
+            f"{op.name} cannot shard {axis.name}: "
+            f"extent {op.extents[axis]} not divisible by tp={tp}"
         )
-    if op.op_class is OpClass.ELEMENTWISE:
-        return input_layout
-    if op.op_class is OpClass.ROUTER:
-        return TensorLayout.replicated(tp)
-    if op.op_class is OpClass.ATTENTION_CORE:
-        if axis is AxisChoice.DIM1:
-            return TensorLayout.sharded(AxisChoice.DIM1, tp)
-        return TensorLayout.replicated(tp)
-    if axis is AxisChoice.UNSHARDED:
-        return TensorLayout.replicated(tp)
-    if axis is AxisChoice.DIM1:
-        return TensorLayout.sharded(AxisChoice.DIM1, tp)
-    return TensorLayout.partial_sum(tp)  # DIM0 contraction leaves partial terms
+    return demanded, yielded
 
 
 @dataclass(frozen=True)
@@ -221,8 +128,8 @@ class PlanStep:
 
     op: FusedOpDescriptor
     axis: AxisChoice
-    input_layout: TensorLayout
-    output_layout: TensorLayout
+    input_layout: LayoutKind
+    output_layout: LayoutKind
     collectives_before: tuple[CollectiveOp, ...]
     tokens: float  # tokens this op processes per device group per step
 
@@ -230,7 +137,7 @@ class PlanStep:
         lines = [c.describe() for c in self.collectives_before]
         lines.append(
             f"{self.op.name}[{self.axis.name.lower()}]: "
-            f"{self.input_layout.describe()} -> {self.output_layout.describe()}"
+            f"{self.input_layout.value} -> {self.output_layout.value}"
         )
         return "\n".join(lines)
 
@@ -265,7 +172,7 @@ class _Walker:
         self.tokens = tokens
         self.tp_wire = tp_wire
         self.dtype = model.dtype_bytes
-        self.state = TensorLayout.replicated(strategy.tp)
+        self.state = _R
         self.features = model.hidden_dim
         self.pending: list[CollectiveOp] = []
         self.steps: list[PlanStep] = []
@@ -273,20 +180,22 @@ class _Walker:
     def tensor_bytes(self) -> float:
         return self.tokens * self.features * self.dtype
 
-    def reconcile(self, target: TensorLayout, purpose: str) -> None:
-        if self.state == target:
+    def reconcile(self, target: LayoutKind, purpose: str) -> None:
+        if self.state is target:
             return
-        coll = transition(self.state, target, self.tensor_bytes(), self.tp_wire, purpose)
-        if coll.kind is not CollectiveKind.NO_OP:
-            self.pending.append(coll)
+        kind = _RECONCILE[self.state, target]
+        if kind is not CollectiveKind.NO_OP:
+            self.pending.append(
+                CollectiveOp(kind, self.strategy.tp, self.tensor_bytes(), self.tp_wire, purpose)
+            )
         self.state = target
 
     def run_op(self, op: FusedOpDescriptor) -> None:
         axis = self.strategy.axis_of(op.name)
-        required = _required_input(op, axis, self.strategy.tp)
-        if required is not None:
-            self.reconcile(required, f"feed {op.name}")
-        out = infer_output_layout(op, self.state, axis)
+        demanded, yielded = op_layouts(op, axis, self.strategy.tp)
+        if demanded is not None:
+            self.reconcile(demanded, f"feed {op.name}")
+        out = yielded or self.state
         self.steps.append(
             PlanStep(op, axis, self.state, out, tuple(self.pending), self.tokens)
         )
@@ -333,11 +242,10 @@ def plan_layer(
         walker.run_op(op)
         if op.name == "attn_out_proj":
             # Residual add and the following norm consume full activations.
-            walker.reconcile(TensorLayout.replicated(tp), "attention residual")
+            walker.reconcile(_R, "attention residual")
 
     if branch_point < len(ops):
         walker.run_op(ops[branch_point])
-        walker.state = TensorLayout.replicated(tp)  # branch from the pre-router activation
         branch = ops[branch_point + 1 :]
 
         # Routed branch. Dispatch scatters each token to its experts across
@@ -373,25 +281,15 @@ def plan_layer(
             walker.steps.extend(branch_walker.steps)
             walker.pending.extend(branch_walker.pending)
 
-        expert_state, shared_state = expert_walker.state, shared_walker.state
-        hidden_bytes = batch_tokens * model.hidden_dim * model.dtype_bytes
-        if shared_walker.steps and shared_state != expert_state:
+        walker.features = model.hidden_dim
+        if shared_walker.steps and shared_walker.state is not expert_walker.state:
             # Branch outputs add elementwise, so they must agree; replicate
             # each side before the sum when they disagree.
-            for state, label in ((expert_state, "routed"), (shared_state, "shared")):
-                coll = transition(
-                    state,
-                    TensorLayout.replicated(tp),
-                    hidden_bytes,
-                    tp_wire,
-                    f"align {label} expert output",
-                )
-                if coll.kind is not CollectiveKind.NO_OP:
-                    walker.pending.append(coll)
-            walker.state = TensorLayout.replicated(tp)
+            for branch_walker, label in ((expert_walker, "routed"), (shared_walker, "shared")):
+                walker.state = branch_walker.state
+                walker.reconcile(_R, f"align {label} expert output")
         else:
-            walker.state = expert_state
-        walker.features = model.hidden_dim
+            walker.state = expert_walker.state
 
-    walker.reconcile(TensorLayout.replicated(tp), "layer exit")
+    walker.reconcile(_R, "layer exit")
     return LayerPlan(steps=tuple(walker.steps), exit_collectives=tuple(walker.pending))

@@ -341,18 +341,6 @@ class PolicyNetwork:
                 named[name] = block
         return MappingProxyType(named)
 
-    def tensor_views(self, vector: np.ndarray) -> Mapping[str, np.ndarray]:
-        """Read-only name -> view map over a vector laid out like ``flat``.
-
-        The mapping is read-only so no entry can be rebound to an array
-        outside the vector; write through the views instead (``[...] =``).
-        """
-        return self._named(self._blocks(vector))
-
-    @property
-    def num_parameters(self) -> int:
-        return self.flat.size
-
     def check_finite(self) -> None:
         """Raise NumericsError if any parameter went non-finite.
 

@@ -63,11 +63,8 @@ class SimRequest:
     strategy: Strategy
     context_len: int
     slo_tpot: float = 0.050
-    phase: str = "decode"
 
     def __post_init__(self) -> None:
-        if self.phase != "decode":
-            raise ValueError(f"only the decode phase is modeled, got phase={self.phase!r}")
         if self.context_len < 1:
             raise ValueError(f"context_len must be positive, got {self.context_len}")
         if not (math.isfinite(self.slo_tpot) and self.slo_tpot > 0):

@@ -271,9 +271,6 @@ class Strategy:
         except ValueError:
             return dict(self.pinned_dims).get(op_name, AxisChoice.UNSHARDED)
 
-    def replace_dims(self, op_dims: tuple[AxisChoice, ...]) -> "Strategy":
-        return Strategy(self.tp, self.ep, self.pp, self.batch, self.op_names, op_dims, self.pinned_dims)
-
 
 def encode_strategy(strategy: Strategy, space: ActionSpaceSpec) -> tuple[int, ...]:
     """Flatten a strategy into its index vector under ``space``.

@@ -206,6 +206,16 @@ class TestActionSpaceSection:
         with pytest.raises(ConfigError, match="pins.lm_head"):
             parse_config(doc)
 
+    def test_inadmissible_pin_fails_at_load(self, tmp_path):
+        # Pinned to an axis its operator cannot take, every strategy would
+        # stop at the layout gate; the config must not load.
+        doc = yaml.safe_load(packaged_config_path("tiny").read_text(encoding="utf-8"))
+        doc["action_space"]["pins"] = {"kv_cache_io": "dim0"}
+        path = tmp_path / "pinned.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"action_space\.pins\.kv_cache_io.*dim0"):
+            load_config(path)
+
     def test_unknown_pinned_op_rejected(self):
         doc = minimal_doc(action_space={"pins": {"mystery": "dim0"}})
         with pytest.raises(ConfigError, match="mystery"):

@@ -15,6 +15,11 @@ writes over all four; they are compared byte for byte.
 ``panels-ppo-budget1000.json`` holds the sha256 of each ``seed_*/evals.ndjson``
 that ``search --algo ppo --budget 1000`` writes on the benchmark's two PPO
 panels: ``moe_1p2t_h100`` seeds 0-3 and ``tiny`` seeds 0-7.
+``explain-digests.json`` holds, for each of four strategy sets (the tiny
+table, the 1.2T Megatron grid and seeded random vectors on the 1.2T and 1.6T
+configs), one sha256 over every ``explain`` text and one over every
+``simulate`` verdict (validity, reason, raw, tpot, memory, breakdown and
+detail), so a change to any printed plan or any priced figure shows.
 
 To rewrite the files after an intended change of behaviour, run
 
@@ -30,14 +35,20 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shardsearch.cli import main
 from shardsearch.config import load_config, packaged_config_path
 from shardsearch.env import SearchEnv
 from shardsearch.ppo import run_search
-from shardsearch.simulator import SimRequest, simulate
-from shardsearch.strategy import canonical_fused_ops, decode_strategy, megatron_fine_dims
+from shardsearch.simulator import SimRequest, explain, simulate
+from shardsearch.strategy import (
+    AxisChoice,
+    canonical_fused_ops,
+    decode_strategy,
+    megatron_fine_dims,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BUDGET = 200
@@ -48,6 +59,14 @@ RUN_ALGOS = ("ppo", "sa", "rw", "exhaustive")
 PANEL_BUDGET = 1000
 PANELS = (("moe_1p2t_h100", 4), ("tiny", 8))
 PANEL_PATH = GOLDEN_DIR / f"panels-ppo-budget{PANEL_BUDGET}.json"
+EXPLAIN_SETS = TABLES + tuple(
+    (config, grid)
+    for config in ("moe_1p2t_h100", "moe_1p6t_h100")
+    for grid in ("random", "admissible")
+)
+EXPLAIN_PATH = GOLDEN_DIR / "explain-digests.json"
+RANDOM_POINTS = 1000
+RANDOM_SEED = 20250
 
 
 def golden_path(config: str, seed: int) -> Path:
@@ -74,34 +93,67 @@ def table_path(config: str, grid: str) -> Path:
 
 
 def table_vectors(config: str, grid: str) -> list[tuple[int, ...]]:
-    """Every point of the full action space, or the Megatron-pinned grid."""
+    """Every point of the full action space, the Megatron-pinned grid, or
+    ``RANDOM_POINTS`` seeded vectors: uniform over every head ("random") or
+    over each operator's admissible axes ("admissible")."""
     cfg = load_config(packaged_config_path(config))
     sizes = cfg.space.head_sizes
     if grid == "full":
         return list(itertools.product(*(range(k) for k in sizes)))
     ops = canonical_fused_ops(cfg.model)
+    rng = np.random.default_rng(RANDOM_SEED)
+    if grid == "random":
+        draws = rng.integers(0, sizes, (RANDOM_POINTS, len(sizes)))
+        return [tuple(int(i) for i in row) for row in draws]
+    if grid == "admissible":
+        by_name = {op.name: op for op in ops}
+        axes = [[int(a) for a in AxisChoice if by_name[n].admits(a)] for n in cfg.space.op_names]
+        return [
+            tuple(int(rng.integers(k)) for k in sizes[:4])
+            + tuple(int(rng.choice(choices)) for choices in axes)
+            for _ in range(RANDOM_POINTS)
+        ]
     dims_by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
     tail = tuple(int(dims_by_name[name]) for name in cfg.space.op_names)
     return [coarse + tail for coarse in itertools.product(*(range(k) for k in sizes[:4]))]
 
 
-def table_records(config: str, grid: str) -> list[list]:
+def table_requests(config: str, grid: str) -> list[SimRequest]:
     cfg = load_config(packaged_config_path(config))
-    rows = []
-    for vector in table_vectors(config, grid):
-        result = simulate(
-            SimRequest(
-                model=cfg.model,
-                hw=cfg.hardware,
-                strategy=decode_strategy(vector, cfg.space),
-                context_len=cfg.simulation.context_len,
-                slo_tpot=cfg.simulation.slo_tpot,
-            )
+    return [
+        SimRequest(
+            model=cfg.model,
+            hw=cfg.hardware,
+            strategy=decode_strategy(vector, cfg.space),
+            context_len=cfg.simulation.context_len,
+            slo_tpot=cfg.simulation.slo_tpot,
         )
+        for vector in table_vectors(config, grid)
+    ]
+
+
+def table_records(config: str, grid: str) -> list[list]:
+    rows = []
+    for req in table_requests(config, grid):
+        result = simulate(req)
         rows.append(
             [result.valid, result.invalid_reason.value, result.throughput, result.tpot_s]
         )
     return rows
+
+
+def explain_digests(config: str, grid: str) -> dict:
+    """sha256 over every explain text and every simulate verdict of a set."""
+    texts, verdicts = hashlib.sha256(), hashlib.sha256()
+    requests = table_requests(config, grid)
+    for req in requests:
+        r = simulate(req)
+        b = r.breakdown
+        verdict = (r.valid, r.invalid_reason.value, r.throughput, r.tpot_s, r.memory_bytes,
+                   b.compute_s, b.comm_s, b.pipeline_s, r.detail)
+        verdicts.update(repr(verdict).encode() + b"\n")
+        texts.update(explain(req).encode() + b"\0")
+    return {"points": len(requests), "explain": texts.hexdigest(), "verdict": verdicts.hexdigest()}
 
 
 def run_outputs(work: Path) -> dict[str, bytes]:
@@ -148,6 +200,12 @@ def test_run_outputs_match_golden(tmp_path):
         assert data == (RUN_DIR / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("config,grid", EXPLAIN_SETS)
+def test_explain_and_verdicts_match_golden(config, grid):
+    expected = json.loads(EXPLAIN_PATH.read_text(encoding="utf-8"))[f"{config}-{grid}"]
+    assert explain_digests(config, grid) == expected
+
+
 @pytest.mark.parametrize("config,grid", TABLES)
 def test_simulator_table_matches_golden(config, grid):
     expected = json.loads(table_path(config, grid).read_text(encoding="utf-8"))
@@ -187,6 +245,9 @@ if __name__ == "__main__":
         }
         table_path(config, grid).write_text(json.dumps(payload) + "\n", encoding="utf-8")
         print(f"wrote {table_path(config, grid)}")
+    digests = {f"{config}-{grid}": explain_digests(config, grid) for config, grid in EXPLAIN_SETS}
+    EXPLAIN_PATH.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {EXPLAIN_PATH}")
     RUN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as work:
         for name, data in run_outputs(Path(work)).items():

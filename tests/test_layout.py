@@ -1,5 +1,6 @@
 """Layout algebra and layer planning golden traces."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -9,10 +10,8 @@ from shardsearch.layout import (
     Interconnect,
     LayoutError,
     LayoutKind,
-    TensorLayout,
-    infer_output_layout,
+    op_layouts,
     plan_layer,
-    transition,
 )
 from shardsearch.model import ModelSpec
 from shardsearch.strategy import (
@@ -21,9 +20,6 @@ from shardsearch.strategy import (
     canonical_fused_ops,
     megatron_fine_dims,
 )
-
-WIRE = Interconnect.INTRA_NODE
-
 
 def small_model(**overrides):
     base = dict(
@@ -63,45 +59,46 @@ def kinds(plan):
     return Counter(c.kind for c in plan.all_collectives())
 
 
-R4 = TensorLayout.replicated(4)
-S0 = TensorLayout.sharded(AxisChoice.DIM0, 4)
-S1 = TensorLayout.sharded(AxisChoice.DIM1, 4)
-PS = TensorLayout.partial_sum(4)
+R, S, P = LayoutKind.REPLICATED, LayoutKind.SHARDED, LayoutKind.PARTIAL_SUM
+
+
+def plan_with(model, tp=4, **axes):
+    s = make_strategy(model, tp=tp, overrides=axes)
+    return plan_layer(model, layer_ops(model), s, batch_tokens=8, node_size=8)
+
+
+def steps_of(plan):
+    return {step.op.name: step for step in plan.steps}
 
 
 class TestTransitionTable:
-    # Expected single collective for every reachable (from, to) pair.
-    TABLE = {
-        (LayoutKind.PARTIAL_SUM, LayoutKind.REPLICATED): CollectiveKind.ALL_REDUCE,
-        (LayoutKind.SHARDED, LayoutKind.REPLICATED): CollectiveKind.ALL_GATHER,
-        (LayoutKind.PARTIAL_SUM, LayoutKind.SHARDED): CollectiveKind.REDUCE_SCATTER,
-        (LayoutKind.REPLICATED, LayoutKind.SHARDED): CollectiveKind.NO_OP,
-    }
-
-    def all_states(self):
-        return [R4, S0, S1, PS]
+    def setup_method(self):
+        self.model = small_model()
 
     def test_exhaustive_pairs(self):
-        for src in self.all_states():
-            for dst in self.all_states():
-                if src == dst:
-                    assert transition(src, dst, 1.0, WIRE).kind is CollectiveKind.NO_OP
-                elif src.kind is LayoutKind.SHARDED and dst.kind is LayoutKind.SHARDED:
-                    assert transition(src, dst, 1.0, WIRE).kind is CollectiveKind.ALL_TO_ALL
-                elif dst.kind is LayoutKind.PARTIAL_SUM:
-                    with pytest.raises(LayoutError):
-                        transition(src, dst, 1.0, WIRE)
-                else:
-                    expected = self.TABLE[(src.kind, dst.kind)]
-                    assert transition(src, dst, 1.0, WIRE).kind is expected
-
-    def test_group_size_mismatch_rejected(self):
-        with pytest.raises(LayoutError, match="group sizes"):
-            transition(R4, TensorLayout.replicated(8), 1.0, WIRE)
+        # Each (from, to) pair of the reconcile table, reached in a plan.
+        u, d0, d1 = AxisChoice.UNSHARDED, AxisChoice.DIM0, AxisChoice.DIM1
+        # partial_sum -> replicated and sharded -> replicated at the residual.
+        for out_axis, kind in ((d0, CollectiveKind.ALL_REDUCE), (d1, CollectiveKind.ALL_GATHER)):
+            step = steps_of(plan_with(self.model, attn_out_proj=out_axis))["router_gate"]
+            assert [(c.kind, c.purpose) for c in step.collectives_before] == [
+                (kind, "attention residual")
+            ]
+        # replicated -> sharded is a local slice; partial_sum -> sharded
+        # reduce-scatters into the head-sharded attention core.
+        steps = steps_of(plan_with(self.model, qkv_proj=d0, attn_core=d1, attn_out_proj=u))
+        assert steps["qkv_proj"].input_layout is S
+        assert steps["qkv_proj"].collectives_before == ()
+        assert steps["kv_cache_io"].output_layout is P
+        assert [c.kind for c in steps["attn_core"].collectives_before] == [
+            CollectiveKind.REDUCE_SCATTER
+        ]
 
     def test_single_device_group_collapses_to_replicated(self):
-        assert TensorLayout.sharded(AxisChoice.DIM1, 1) == TensorLayout.replicated(1)
-        assert TensorLayout.partial_sum(1) == TensorLayout.replicated(1)
+        for op in canonical_fused_ops(self.model):
+            for axis in AxisChoice:
+                if op.admits(axis):
+                    assert op_layouts(op, axis, 1) in ((R, R), (None, None)), (op.name, axis)
 
     def test_minimality_cost_ordering(self):
         # The table picks the one-collective reconciliation; sanity-check the
@@ -114,44 +111,65 @@ class TestTransitionTable:
             intra_node_bw=4.5e11, inter_node_bw=5e10, node_size=8,
             device_budget=24000, kernel_overhead=0.0, per_collective_latency=0.0,
         )
-        gather = transition(S1, R4, 1e6, WIRE)
-        reduce = transition(PS, R4, 1e6, WIRE)
+        (gather,) = steps_of(
+            plan_with(self.model, attn_out_proj=AxisChoice.DIM1)
+        )["router_gate"].collectives_before
+        (reduce,) = steps_of(
+            plan_with(self.model, attn_out_proj=AxisChoice.DIM0)
+        )["router_gate"].collectives_before
+        assert gather.payload_bytes == reduce.payload_bytes
         assert collective_time(gather, hw) * 2 == collective_time(reduce, hw)
-        assert collective_time(transition(R4, S1, 1e6, WIRE), hw) == 0.0
 
 
 class TestInferOutputLayout:
+    """The rule table: (input demanded, output yielded) per op and axis."""
+
     def setup_method(self):
         self.model = small_model()
         ops = canonical_fused_ops(self.model)
         self.by_name = {op.name: op for op in ops}
 
+    def rule(self, name, axis, tp=4):
+        return op_layouts(self.by_name[name], axis, tp)
+
     def test_dense_dim1_from_replicated_is_sharded(self):
-        out = infer_output_layout(self.by_name["qkv_proj"], R4, AxisChoice.DIM1)
-        assert out == S1
+        assert self.rule("qkv_proj", AxisChoice.DIM1) == (R, S)
 
     def test_dense_dim0_from_feature_sharded_is_partial(self):
-        out = infer_output_layout(self.by_name["attn_out_proj"], S1, AxisChoice.DIM0)
-        assert out == PS
+        assert self.rule("attn_out_proj", AxisChoice.DIM0) == (S, P)
 
     def test_dense_unsharded_needs_replicated(self):
-        with pytest.raises(LayoutError, match="needs input"):
-            infer_output_layout(self.by_name["qkv_proj"], S1, AxisChoice.UNSHARDED)
+        assert self.rule("qkv_proj", AxisChoice.UNSHARDED) == (R, R)
+
+    def test_expert_matmuls_follow_the_dense_rules(self):
+        assert self.rule("expert_ffn1", AxisChoice.UNSHARDED) == (R, R)
+        assert self.rule("expert_ffn1", AxisChoice.DIM1) == (R, S)
+        assert self.rule("expert_ffn2", AxisChoice.DIM0) == (S, P)
+
+    def test_attention_core_keeps_heads_where_they_are(self):
+        assert self.rule("attn_core", AxisChoice.UNSHARDED) == (R, R)
+        assert self.rule("attn_core", AxisChoice.DIM1) == (S, S)
+
+    def test_router_reads_and_yields_replicated(self):
+        assert self.rule("router_gate", AxisChoice.UNSHARDED) == (R, R)
 
     def test_attention_core_rejects_dim0(self):
-        with pytest.raises(LayoutError, match="does not admit"):
-            infer_output_layout(self.by_name["attn_core"], R4, AxisChoice.DIM0)
+        with pytest.raises(LayoutError, match="attn_core does not admit shard axis DIM0"):
+            self.rule("attn_core", AxisChoice.DIM0)
 
     def test_elementwise_preserves_any_layout(self):
-        op = self.by_name["kv_cache_io"]
-        for state in (R4, S1, PS):
-            assert infer_output_layout(op, state, AxisChoice.UNSHARDED) == state
+        assert self.rule("kv_cache_io", AxisChoice.UNSHARDED) == (None, None)
+        for qkv_axis, state in ((AxisChoice.UNSHARDED, R), (AxisChoice.DIM1, S), (AxisChoice.DIM0, P)):
+            step = steps_of(plan_with(self.model, qkv_proj=qkv_axis))["kv_cache_io"]
+            assert (step.input_layout, step.output_layout) == (state, state)
+            assert step.collectives_before == ()
 
     def test_extent_divisibility_enforced(self):
         # 8 query heads cannot split 16 ways.
-        r16 = TensorLayout.replicated(16)
-        with pytest.raises(LayoutError, match="not divisible"):
-            infer_output_layout(self.by_name["qkv_proj"], r16, AxisChoice.DIM1)
+        with pytest.raises(
+            LayoutError, match="qkv_proj cannot shard DIM1: extent 8 not divisible by tp=16"
+        ):
+            self.rule("qkv_proj", AxisChoice.DIM1, tp=16)
 
 
 class TestLayerPlans:
@@ -214,7 +232,7 @@ class TestLayerPlans:
 
     def test_unsharded_everything_plans_no_tensor_collectives(self):
         s = make_strategy(self.model, tp=4)
-        s = s.replace_dims(tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
+        s = dataclasses.replace(s, op_dims=tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
         plan = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
         assert plan.all_collectives() == ()
 

@@ -291,7 +291,7 @@ class TestForward:
             + sum(d * k + k for k in (2, 2, 1, 3, 3, 3, 3))  # heads
             + (d * d + d) + (d + 1)  # value mlp
         )
-        assert policy.num_parameters == expected
+        assert policy.flat.size == expected
 
 
 class TestSample:

@@ -208,10 +208,12 @@ class TestAdam:
             grad[rng.random(grad.size) < 0.05] = 0.0
             steps.append(grad)
             lrs.append(1e-3 * (1.0 + step) / 7.0)
+        grads = []
+        for g in steps:
+            policy.grad[:] = g
+            grads.append({name: t.copy() for name, t in policy.grads.items()})
         expected = reference_adam_steps(
-            {name: t.copy() for name, t in policy.params.items()},
-            [dict(policy.tensor_views(g)) for g in steps],
-            lrs,
+            {name: t.copy() for name, t in policy.params.items()}, grads, lrs
         )
         opt = Adam(policy.flat)
         for grad, lr in zip(steps, lrs):

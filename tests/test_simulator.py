@@ -1,5 +1,6 @@
 """Roofline cost model: closed forms, gates, and conservation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -161,7 +162,7 @@ class TestMemory:
     def test_hand_counted_total(self):
         model = self.tiny()
         s = make_strategy(model, batch=2)
-        s = s.replace_dims(tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
+        s = dataclasses.replace(s, op_dims=tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
         # weights 33600 + kv 8192 + workspace 384, all tallied by hand:
         # kv = 2 dirs * 2 layers * (4*8) kv width * 16 ctx * 2 batch * 2 B.
         assert memory_per_device(model, s, context_len=16, batch=2) == 42176.0
@@ -169,7 +170,7 @@ class TestMemory:
     def test_kv_cache_component(self):
         model = self.tiny()
         s = make_strategy(model, batch=2)
-        s = s.replace_dims(tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
+        s = dataclasses.replace(s, op_dims=tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
         with_kv = memory_per_device(model, s, 16, 2)
         # Doubling context adds exactly one more 8192-byte cache worth.
         doubled_ctx = memory_per_device(model, s, 32, 2)
@@ -241,11 +242,6 @@ class TestSimulateGates:
         assert r.valid
         assert r.invalid_reason is InvalidReason.NONE
         assert r.throughput > 0.0
-
-    def test_prefill_phase_rejected(self):
-        s = make_strategy(self.model)
-        with pytest.raises(ValueError, match="decode"):
-            SimRequest(self.model, self.hw, s, context_len=256, phase="prefill")
 
 
 class TestNonFiniteInputs:
