@@ -9,23 +9,26 @@ simulated annealing with a cosine temperature schedule, and the exhaustive
 sweep over coarse parallelism degrees with per-operator shard axes pinned to
 the standard megatron assignment. The first two optimize the shaped reward
 (the same signal PPO sees); the exhaustive sweep stands in for a heuristic
-planner that never sees the reward game. Every search reports its best
-valid record by raw throughput (``build_report``).
+planner that never sees the reward game. The searches only step the
+environment, which keeps the run's best.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .env import SearchEnv, require_finite
-from .ppo import SearchReport, build_report, cosine_decay
-from .strategy import ActionSpaceSpec, canonical_fused_ops, megatron_fine_dims
+from .ppo import cosine_decay
+from .strategy import (
+    ActionSpaceSpec,
+    FusedOpDescriptor,
+    canonical_fused_ops,
+    megatron_fine_dims,
+)
 
 
 class NoValidConfiguration(RuntimeError):
@@ -91,41 +94,24 @@ def acceptance_probability(delta: float, temperature: float) -> float:
     return math.exp(delta / temperature)
 
 
-def random_walk(env: SearchEnv, budget: int, seed: int) -> SearchReport:
+def random_walk(env: SearchEnv, budget: int, seed: int) -> None:
     """Budget-many i.i.d. uniform samples."""
     if budget < 1:
         raise ValueError("random walk budget must be >= 1")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    first = env.evals_used
     for _ in range(budget):
         env.step(uniform_vector(env.space, rng))
-    records = env.eval_log[first : first + budget]
-    return build_report(
-        algorithm="rw",
-        seed=seed,
-        records=records,
-        restarts=(),
-        budget=budget,
-        wall_clock_s=time.perf_counter() - start,
-    )
 
 
-def simulated_annealing(
-    env: SearchEnv, cfg: SaConfig, budget: int, seed: int
-) -> SearchReport:
+def simulated_annealing(env: SearchEnv, cfg: SaConfig, budget: int, seed: int) -> None:
     """Single-chain annealing on the shaped reward.
 
     The temperature follows a cosine decay from ``t_initial`` to 0 across
-    the budget, so the chain is explorative early and greedy late. The
-    report covers every proposal, accepted or not.
+    the budget, so the chain is explorative early and greedy late.
     """
     if budget < 1:
         raise ValueError("simulated annealing budget must be >= 1")
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    first = env.evals_used
-
     current = uniform_vector(env.space, rng)
     current_reward, _, _ = env.step(current)
     for step in range(1, budget):
@@ -136,59 +122,29 @@ def simulated_annealing(
         if rng.random() < acceptance_probability(delta, temperature):
             current, current_reward = candidate, candidate_reward
 
-    records = env.eval_log[first : first + budget]
-    return build_report(
-        algorithm="sa",
-        seed=seed,
-        records=records,
-        restarts=(),
-        budget=budget,
-        wall_clock_s=time.perf_counter() - start,
-    )
+
+def megatron_vectors(
+    space: ActionSpaceSpec, ops: tuple[FusedOpDescriptor, ...]
+) -> list[tuple[int, ...]]:
+    """Every coarse degree tuple of ``space`` with megatron-pinned shard axes."""
+    dims_by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
+    fine_tail = tuple(int(dims_by_name[name]) for name in space.op_names)
+    domains = (space.tp_domain, space.ep_domain, space.pp_domain, space.batch_domain)
+    return [
+        coarse + fine_tail
+        for coarse in itertools.product(*(range(len(d)) for d in domains))
+    ]
 
 
-def megatron_exhaustive(
-    env_factory: Callable[[int], SearchEnv], space: ActionSpaceSpec
-) -> SearchReport:
-    """Sweep every coarse degree tuple with megatron-pinned shard axes.
+def megatron_exhaustive(env: SearchEnv) -> None:
+    """Step every point of the megatron-pinned coarse grid, deterministically.
 
-    ``env_factory(budget)`` must build an environment over ``space``; the
-    sweep sizes the budget to the coarse grid exactly. The sweep is
-    deterministic and seed-free.
+    ``env`` needs a budget of at least the grid size.
     """
-    grid_size = (
-        len(space.tp_domain)
-        * len(space.ep_domain)
-        * len(space.pp_domain)
-        * len(space.batch_domain)
-    )
-    start = time.perf_counter()
-    with env_factory(grid_size) as env:
-        if env.space != space:
-            raise ValueError("env_factory produced an environment over a different space")
-        ops = canonical_fused_ops(env.model)
-        dims_by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
-        fine_tail = tuple(int(dims_by_name[name]) for name in space.op_names)
-
-        ranges = [
-            range(len(space.tp_domain)),
-            range(len(space.ep_domain)),
-            range(len(space.pp_domain)),
-            range(len(space.batch_domain)),
-        ]
-        for coarse in itertools.product(*ranges):
-            env.step(coarse + fine_tail)
-
-        records = env.eval_log[-grid_size:]
-        if not any(r.valid for r in records):
-            raise NoValidConfiguration(
-                f"no valid configuration among {grid_size} megatron-pinned points"
-            )
-    return build_report(
-        algorithm="exhaustive",
-        seed=None,
-        records=records,
-        restarts=(),
-        budget=grid_size,
-        wall_clock_s=time.perf_counter() - start,
-    )
+    vectors = megatron_vectors(env.space, canonical_fused_ops(env.model))
+    for vector in vectors:
+        env.step(vector)
+    if env.best_vector is None:
+        raise NoValidConfiguration(
+            f"no valid configuration among {len(vectors)} megatron-pinned points"
+        )

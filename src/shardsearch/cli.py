@@ -16,18 +16,20 @@ import os
 import shutil
 import statistics
 import sys
+import time
 from pathlib import Path
 from typing import Callable, NoReturn, Sequence
 
 from .baselines import (
     NoValidConfiguration,
     megatron_exhaustive,
+    megatron_vectors,
     random_walk,
     simulated_annealing,
 )
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config_path
 from .env import SearchEnv, load_eval_log
-from .ppo import SearchReport, run_search
+from .ppo import run_search
 from .simulator import SimRequest, SimResult, explain, simulate
 from .strategy import AXIS_BY_NAME, AxisChoice, Strategy, canonical_fused_ops, megatron_fine_dims
 
@@ -229,17 +231,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if result.valid else EXIT_INVALID_STRATEGY
 
 
-def _record_run(run_dir: Path, report: SearchReport) -> dict:
-    """Writes one run's ``report.json`` and returns its ``summary.json`` row."""
-    (run_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    return {
-        "seed": report.seed,
-        "best_raw": report.best_raw,
-        "best_vector": report.best_vector,
-        "evals": report.evals,
-    }
-
-
 def _summarize(algo: str, budget: int, rows: list[dict]) -> dict:
     bests = [row["best_raw"] for row in rows]
     best_idx = max(range(len(bests)), key=lambda i: (bests[i], -i))
@@ -270,16 +261,30 @@ def cmd_search(args: argparse.Namespace) -> int:
     seeds_count = args.seeds if args.seeds is not None else 1
     if seeds_count < 1:
         raise CliError(f"--seeds must be positive, got {seeds_count}")
+    if args.seed0 < 0:
+        raise CliError(f"--seed0 must be non-negative, got {args.seed0}")
+
+    if algo == "exhaustive":
+        budget = len(megatron_vectors(cfg.space, canonical_fused_ops(cfg.model)))
+        runs = [("grid", None)]
+    else:
+        runs = [(f"seed_{n}", n) for n in range(args.seed0, args.seed0 + seeds_count)]
+    # Built before any directory is made: it rejects a budget that the
+    # chunks do not divide.
+    ppo_cfg = dataclasses.replace(cfg.ppo, budget=budget) if algo == "ppo" else cfg.ppo
+    # Searchers only step the environment, which keeps the run's best;
+    # run_search returns the one fact only it knows, its restart offsets.
+    searchers: dict[str, Callable[[SearchEnv, int | None], tuple[int, ...] | None]] = {
+        "ppo": lambda env, seed: run_search(env, ppo_cfg, seed),
+        "sa": lambda env, seed: simulated_annealing(env, cfg.sa, budget, seed),
+        "rw": lambda env, seed: random_walk(env, budget, seed),
+        "exhaustive": lambda env, seed: megatron_exhaustive(env),
+    }
 
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config_path.stem}-{algo}"
     if (out_dir / "summary.json").exists():
         raise CliError(f"refusing to overwrite finished run directory {out_dir}")
-    run_names = (
-        ["grid"]
-        if algo == "exhaustive"
-        else [f"seed_{seed}" for seed in range(args.seed0, args.seed0 + seeds_count)]
-    )
-    for name in run_names:
+    for name, _ in runs:
         log = out_dir / name / "evals.ndjson"
         if log.is_file() and log.stat().st_size > 0:
             raise CliError(
@@ -289,44 +294,36 @@ def cmd_search(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(config_path, out_dir / "config.yaml")
 
-    def make_env(env_budget: int, log_path: Path) -> SearchEnv:
-        return SearchEnv(
+    rows = []
+    for name, seed in runs:
+        run_dir = out_dir / name
+        run_dir.mkdir(exist_ok=True)
+        with SearchEnv(
             cfg.model,
             cfg.hardware,
             cfg.space,
             context_len=cfg.simulation.context_len,
-            budget=env_budget,
+            budget=budget,
             reward=cfg.reward,
             slo_tpot=cfg.simulation.slo_tpot,
-            log_path=log_path,
-        )
-
-    rows = []
-    if algo == "exhaustive":
-        run_dir = out_dir / "grid"
-        run_dir.mkdir(exist_ok=True)
-        report = megatron_exhaustive(
-            lambda b: make_env(b, run_dir / "evals.ndjson"), cfg.space
-        )
-        rows.append(_record_run(run_dir, report))
-        budget = report.budget
-        print(f"grid: best raw {report.best_raw:.6f} over {report.evals} points")
-    else:
-        searchers: dict[str, Callable[[SearchEnv, int], SearchReport]] = {
-            "ppo": lambda env, seed: run_search(
-                env, dataclasses.replace(cfg.ppo, budget=budget), seed=seed
-            ),
-            "sa": lambda env, seed: simulated_annealing(env, cfg.sa, budget, seed=seed),
-            "rw": lambda env, seed: random_walk(env, budget, seed=seed),
+            log_path=run_dir / "evals.ndjson",
+        ) as env:
+            start = time.perf_counter()
+            restarts = searchers[algo](env, seed) or ()
+            wall_clock_s = time.perf_counter() - start
+        report = {
+            "algorithm": algo,
+            "seed": seed,
+            "budget": budget,
+            "evals": env.evals_used,
+            "best_vector": env.best_vector,
+            "best_raw": env.best_raw,
+            "restarts": restarts,
+            "wall_clock_s": wall_clock_s,
         }
-        for seed in range(args.seed0, args.seed0 + seeds_count):
-            run_dir = out_dir / f"seed_{seed}"
-            run_dir.mkdir(exist_ok=True)
-            env = make_env(budget, run_dir / "evals.ndjson")
-            with env:
-                report = searchers[algo](env, seed)
-            rows.append(_record_run(run_dir, report))
-            print(f"seed {seed}: best raw {report.best_raw:.6f} ({report.evals} evals)")
+        (run_dir / "report.json").write_text(json.dumps(report) + "\n", encoding="utf-8")
+        rows.append({key: report[key] for key in ("seed", "best_raw", "best_vector", "evals")})
+        print(f"{name}: best raw {env.best_raw:.6f} ({env.evals_used} evals)")
 
     summary = _summarize(algo, budget, rows)
     (out_dir / "summary.json").write_text(
@@ -423,13 +420,17 @@ def _check_compatible(runs: Sequence[_RunDir]) -> None:
 def _comparison_table(runs: Sequence[_RunDir]) -> list[dict]:
     _check_compatible(runs)
     merged: dict[tuple[str, str], list[_SeedRun]] = {}
-    order = []
+    found_in: dict[tuple[str, str, int | None], _RunDir] = {}
     for run in runs:
         key = (run.workload, run.algorithm)
-        if key not in merged:
-            merged[key] = []
-            order.append(key)
-        merged[key].extend(run.seeds)
+        for seed_run in run.seeds:
+            prior = found_in.setdefault((*key, seed_run.seed), run)
+            if prior is not run:
+                raise CliError(
+                    f"seed {seed_run.seed} of {run.algorithm} on {run.workload} appears "
+                    f"in both {prior.path} and {run.path}; refusing to count it twice"
+                )
+        merged.setdefault(key, []).extend(run.seeds)
 
     rw_mean: dict[str, float] = {}
     exhaustive_best: dict[str, float] = {}
@@ -441,7 +442,7 @@ def _comparison_table(runs: Sequence[_RunDir]) -> list[dict]:
             exhaustive_best[workload] = max(bests)
 
     rows = []
-    for workload, algo in order:
+    for workload, algo in merged:
         bests = [s.best_raw for s in merged[(workload, algo)]]
         mean_best = statistics.fmean(bests)
         best_of_k = max(bests)

@@ -9,7 +9,9 @@ current sample),
 
 while invalid strategies earn a flat configured penalty and still consume
 budget. The environment is the single bookkeeper of the run: every
-evaluation lands in an append-only log that fully reproduces the search.
+evaluation lands in an append-only log that fully reproduces the search, and
+``best_raw`` with ``best_vector`` is the run's best, the earliest maximal
+valid record of that log (``None`` and 0 while nothing was valid).
 """
 
 from __future__ import annotations
@@ -70,28 +72,13 @@ class EvalRecord:
     reason: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "index": self.index,
-                "vector": list(self.vector),
-                "raw": self.raw,
-                "reward": self.reward,
-                "valid": self.valid,
-                "reason": self.reason,
-            }
-        )
+        return json.dumps(vars(self))
 
     @staticmethod
     def from_json(line: str) -> "EvalRecord":
         d = json.loads(line)
-        return EvalRecord(
-            index=d["index"],
-            vector=tuple(d["vector"]),
-            raw=d["raw"],
-            reward=d["reward"],
-            valid=d["valid"],
-            reason=d["reason"],
-        )
+        d["vector"] = tuple(d["vector"])
+        return EvalRecord(**d)
 
 
 class SearchEnv:
@@ -123,6 +110,7 @@ class SearchEnv:
         self.budget = budget
         self.reward_cfg = reward
         self.best_raw = 0.0
+        self.best_vector: tuple[int, ...] | None = None
         self.evals_used = 0
         self.eval_log: list[EvalRecord] = []
         self._sink: TextIO | None = None
@@ -183,15 +171,21 @@ class SearchEnv:
             self._sink.write(record.to_json() + "\n")
             self._sink.flush()
         if result.valid and raw > self.best_raw:
-            self.best_raw = raw  # after reward computation: bonus is exclusive
+            # After the reward: the bonus is exclusive. Every valid raw is
+            # positive, so this keeps the earliest maximal valid record.
+            self.best_raw = raw
+            self.best_vector = vector
         return reward, raw, result.valid
 
 
 def load_eval_log(path: str | Path) -> list[EvalRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(EvalRecord.from_json(line))
+                try:
+                    records.append(EvalRecord.from_json(line))
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise ValueError(f"{path}:{number} is not an eval record: {exc}") from None
     return records

@@ -18,19 +18,17 @@ always spends its budget exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import queue
 import threading
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .env import EvalRecord, SearchEnv, require_finite
+from .env import SearchEnv, require_finite
 from .policy import (
     EliteBuffer,
     NumericsError,
@@ -106,14 +104,6 @@ class RolloutSample:
     forward: tuple[PolicyOutput, dict] | None = field(
         default=None, compare=False, repr=False
     )
-
-
-@dataclass(frozen=True)
-class RolloutBatch:
-    samples: tuple[RolloutSample, ...]
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -300,7 +290,7 @@ def collect(
     n: int,
     rng: np.random.Generator,
     first: tuple[np.ndarray, PolicyOutput, dict] | None = None,
-) -> RolloutBatch:
+) -> tuple[RolloutSample, ...]:
     """Run ``n`` one-step episodes under the current policy.
 
     Valid strategies are offered to the elite buffer with the reward they
@@ -331,12 +321,12 @@ def collect(
                 forward=(out, cache),
             )
         )
-    return RolloutBatch(samples=tuple(samples))
+    return tuple(samples)
 
 
 def loss_and_grads(
     policy: PolicyNetwork,
-    batch: RolloutBatch,
+    batch: Sequence[RolloutSample],
     cfg: PpoConfig,
     reuse_forward: bool = False,
 ) -> tuple[LossReport, Mapping[str, np.ndarray]]:
@@ -365,7 +355,7 @@ def loss_and_grads(
     clipped = 0
     ratio_sum = 0.0
 
-    for i, sample in enumerate(batch.samples):
+    for i, sample in enumerate(batch):
         if not (
             math.isfinite(sample.reward)
             and math.isfinite(sample.value_old)
@@ -429,7 +419,7 @@ def loss_and_grads(
 
 def ppo_update(
     policy: PolicyNetwork,
-    batch: RolloutBatch,
+    batch: Sequence[RolloutSample],
     cfg: PpoConfig,
     lr: float,
     optimizer: Adam,
@@ -447,17 +437,7 @@ def ppo_update(
         report, _ = loss_and_grads(policy, batch, cfg, reuse_forward=epoch == 0)
         optimizer.apply(policy.flat, policy.grad, lr)
         policy.check_finite()
-        reports.append(
-            LossReport(
-                policy_loss=report.policy_loss,
-                value_loss=report.value_loss,
-                entropy=report.entropy,
-                total_loss=report.total_loss,
-                lr=lr,
-                clip_fraction=report.clip_fraction,
-                mean_ratio=report.mean_ratio,
-            )
-        )
+        reports.append(replace(report, lr=lr))
     return tuple(reports)
 
 
@@ -468,7 +448,6 @@ def run_chunk(
     allowance: int,
     cfg: PpoConfig,
     rng: np.random.Generator,
-    optimizer: Adam | None = None,
 ) -> ChunkOutcome:
     """Train one fresh agent until its allowance is spent or it is confident.
 
@@ -480,8 +459,7 @@ def run_chunk(
     """
     if allowance < 1:
         raise ValueError("chunk allowance must be >= 1")
-    if optimizer is None:
-        optimizer = Adam(policy.flat)
+    optimizer = Adam(policy.flat)
     spent = 0
     first = None
     while spent < allowance:
@@ -498,54 +476,9 @@ def run_chunk(
     return ChunkOutcome(exit=ChunkExit.EXHAUSTED, evals_used=spent)
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    """Outcome of one search run: its eval log's best valid record by raw
-    throughput, plus the run's restarts and wall time."""
-
-    algorithm: str
-    seed: int | None
-    budget: int
-    evals: int
-    best_vector: tuple[int, ...] | None  # None when nothing was valid
-    best_raw: float
-    restarts: tuple[int, ...]
-    wall_clock_s: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-
-def build_report(
-    algorithm: str,
-    seed: int | None,
-    records: Sequence[EvalRecord],
-    restarts: Sequence[int],
-    budget: int,
-    wall_clock_s: float,
-) -> SearchReport:
-    """Summarize an eval-record stream by its best valid record by raw
-    throughput, earliest on ties; with nothing valid the best raw is 0."""
-    if not records:
-        raise ValueError("cannot report on zero evaluations")
-    best = None
-    for record in records:
-        if record.valid and (best is None or record.raw > best.raw):
-            best = record
-    return SearchReport(
-        algorithm=algorithm,
-        seed=seed,
-        budget=budget,
-        evals=len(records),
-        best_vector=None if best is None else best.vector,
-        best_raw=0.0 if best is None else best.raw,
-        restarts=tuple(restarts),
-        wall_clock_s=wall_clock_s,
-    )
-
-
-def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> SearchReport:
-    """Full chunked-restart PPO search; consumes exactly ``cfg.budget`` evals.
+def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> tuple[int, ...]:
+    """Full chunked-restart PPO search; consumes exactly ``cfg.budget`` evals
+    and returns the eval offsets at which each agent started.
 
     The environment must have at least ``cfg.budget`` evaluations left. One
     seeded generator drives parameter initialization and action sampling, so
@@ -556,11 +489,9 @@ def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> SearchReport:
         raise ValueError(
             f"environment has {env.budget_left} evals left, need {cfg.budget}"
         )
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     ops = canonical_fused_ops(env.model)
     buf = EliteBuffer(cfg.history_len)
-    first_record = env.evals_used
 
     restarts: list[int] = []
     evals_done = 0
@@ -586,12 +517,4 @@ def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> SearchReport:
         del policy
         evals_done += outcome.evals_used
 
-    records = env.eval_log[first_record : first_record + evals_done]
-    return build_report(
-        algorithm="ppo",
-        seed=seed,
-        records=records,
-        restarts=restarts,
-        budget=cfg.budget,
-        wall_clock_s=time.perf_counter() - start,
-    )
+    return tuple(restarts)

@@ -8,6 +8,7 @@ from shardsearch.baselines import (
     SaConfig,
     acceptance_probability,
     megatron_exhaustive,
+    megatron_vectors,
     mutate_vector,
     random_walk,
     simulated_annealing,
@@ -149,12 +150,11 @@ class TestAcceptanceRule:
 class TestRandomWalk:
     def test_budget_one_report(self):
         env = make_env(budget=4)
-        report = random_walk(env, budget=1, seed=0)
-        assert report.evals == 1
+        assert random_walk(env, budget=1, seed=0) is None
         assert env.evals_used == 1
         (only,) = env.eval_log
-        assert report.best_vector == (only.vector if only.valid else None)
-        assert report.best_raw == only.raw
+        assert env.best_vector == (only.vector if only.valid else None)
+        assert env.best_raw == only.raw
 
     def test_same_seed_same_sequence(self):
         vectors = []
@@ -166,20 +166,17 @@ class TestRandomWalk:
 
     def test_report_best_matches_log_argmax(self):
         env = make_env(budget=24)
-        report = random_walk(env, budget=24, seed=3)
+        random_walk(env, budget=24, seed=3)
         best = max((r for r in env.eval_log if r.valid), key=lambda r: r.raw)
-        assert report.best_raw == best.raw
-        assert report.best_vector == best.vector
-        assert report.algorithm == "rw"
+        assert env.best_raw == best.raw
+        assert env.best_vector == best.vector
 
 
 class TestSimulatedAnnealing:
     def test_consumes_exactly_budget(self):
         env = make_env(budget=30)
-        report = simulated_annealing(env, SaConfig(), budget=30, seed=0)
-        assert report.evals == 30
+        simulated_annealing(env, SaConfig(), budget=30, seed=0)
         assert env.evals_used == 30
-        assert report.algorithm == "sa"
 
     def test_same_seed_reproducible(self):
         logs = []
@@ -193,19 +190,19 @@ class TestSimulatedAnnealing:
         # Seed 1 finds nothing valid in 20 proposals; seed 3 finds 12.
         for seed in (1, 3):
             env = make_env(budget=20)
-            report = simulated_annealing(env, SaConfig(), budget=20, seed=seed)
+            simulated_annealing(env, SaConfig(), budget=20, seed=seed)
             valid = [r for r in env.eval_log if r.valid]
             best = max(valid, key=lambda r: r.raw) if valid else None
-            assert report.best_raw == (best.raw if best else 0.0)
-            assert report.best_vector == (best.vector if best else None)
+            assert env.best_raw == (best.raw if best else 0.0)
+            assert env.best_vector == (best.vector if best else None)
 
     def test_temperature_limits_run_clean(self):
         # Near-zero start temperature: pure hill climbing; huge start
         # temperature: accept-everything. Both must spend the exact budget.
         for t0 in (1e-9, 1e9):
             env = make_env(budget=16)
-            report = simulated_annealing(env, SaConfig(t_initial=t0), budget=16, seed=2)
-            assert report.evals == 16
+            simulated_annealing(env, SaConfig(t_initial=t0), budget=16, seed=2)
+            assert env.evals_used == 16
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="t_initial"):
@@ -215,74 +212,50 @@ class TestSimulatedAnnealing:
 
 
 class TestMegatronExhaustive:
-    def factory(self, hw=None, built=None):
-        def build(budget):
-            env = make_env(budget=budget, hw=hw)
-            if built is not None:
-                built.append(env)
-            return env
+    GRID = 3 * 3 * 3 * 3
 
-        return build
+    def sweep(self, hw=None):
+        env = make_env(budget=self.GRID, hw=hw)
+        megatron_exhaustive(env)
+        return env
 
     def test_grid_size_and_pinned_tails(self):
         space = small_space()
-        report = megatron_exhaustive(self.factory(), space)
-        assert report.evals == 3 * 3 * 3 * 3
         ops = canonical_fused_ops(small_model())
+        vectors = megatron_vectors(space, ops)
+        assert len(vectors) == self.GRID
+        env = self.sweep()
+        assert env.evals_used == self.GRID
+        assert [r.vector for r in env.eval_log] == vectors
         fine = tuple(int(d) for d in megatron_fine_dims(ops))
-        assert report.best_vector[4:] == fine
-        assert report.seed is None
-        assert report.algorithm == "exhaustive"
+        assert {v[4:] for v in vectors} == {fine}
+        assert env.best_vector[4:] == fine
 
     def test_winner_is_best_valid_by_raw_reverified(self):
         space = small_space()
-        env_audit = make_env(budget=81)
-        built = []
-        report = megatron_exhaustive(self.factory(built=built), space)
-        # Re-simulate the winner directly; its raw must equal the report's.
-        strategy = decode_strategy(report.best_vector, space)
+        env = self.sweep()
+        # Re-simulate the winner directly; its raw must equal the env's best.
+        strategy = decode_strategy(env.best_vector, space)
         result = simulate(
             SimRequest(
                 model=small_model(),
                 hw=small_hw(),
                 strategy=strategy,
                 context_len=256,
-                slo_tpot=env_audit.slo_tpot,
+                slo_tpot=env.slo_tpot,
             )
         )
         assert result.valid
-        assert result.throughput == report.best_raw
+        assert result.throughput == env.best_raw
         # And nothing on the grid beats it.
-        (grid,) = built
-        assert report.best_raw == max(r.raw for r in grid.eval_log if r.valid)
+        assert env.best_raw == max(r.raw for r in env.eval_log if r.valid)
 
     def test_deterministic_across_calls(self):
-        space = small_space()
-        built = []
-        a = megatron_exhaustive(self.factory(built=built), space)
-        b = megatron_exhaustive(self.factory(built=built), space)
+        a, b = self.sweep(), self.sweep()
         assert a.best_vector == b.best_vector
-        assert [r.raw for r in built[0].eval_log] == [r.raw for r in built[1].eval_log]
+        assert [r.raw for r in a.eval_log] == [r.raw for r in b.eval_log]
 
     def test_zero_valid_configurations_is_an_error(self):
         oom = small_hw(hbm_capacity=1e4)
         with pytest.raises(NoValidConfiguration):
-            megatron_exhaustive(self.factory(hw=oom), small_space())
-
-    def test_space_mismatch_rejected(self):
-        def build(budget):
-            return SearchEnv(
-                model=small_model(),
-                hw=small_hw(),
-                space=ActionSpaceSpec(
-                    tp_domain=(1, 2),
-                    ep_domain=(1,),
-                    pp_domain=(1,),
-                    batch_domain=(1,),
-                ),
-                context_len=256,
-                budget=budget,
-            )
-
-        with pytest.raises(ValueError, match="different space"):
-            megatron_exhaustive(build, small_space())
+            self.sweep(hw=oom)

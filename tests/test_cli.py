@@ -243,7 +243,18 @@ class TestSearch:
             capsys,
         )
         assert code == 1
-        assert "divide" in err
+        assert "must divide ppo.budget" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed0_is_named_and_makes_no_run_directory(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["search", "--config", "tiny", "--algo", "rw", "--budget", "10",
+             "--seed0", "-1", "--out", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == 1
+        assert "--seed0" in err
+        assert not (tmp_path / "x").exists()
 
     def test_exhaustive_ignores_budget_and_seeds_with_warning(self, tmp_path, capsys):
         out_dir = tmp_path / "ex"
@@ -472,6 +483,23 @@ class TestReport:
         code, _, err = run_cli(["report", str(out_dir)], capsys)
         assert code == 1
         assert str(log) in err and "no records" in err
+
+    def test_a_log_line_with_other_fields_is_a_tool_error(self, tmp_path, capsys):
+        out_dir = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="1")
+        log = out_dir / "seed_0" / "evals.ndjson"
+        lines = log.read_text().splitlines()
+        lines[1] = lines[1][:-1] + ', "tpot_s": 0.01}'
+        log.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["report", str(out_dir)], capsys)
+        assert code == 1
+        assert f"{log}:2 is not an eval record" in err and "tpot_s" in err
+
+    def test_a_seed_given_twice_is_refused(self, tmp_path, capsys):
+        rw = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="2")
+        code, out, err = run_cli(["report", str(rw), f"{rw}/"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"in both {rw} and {rw}" in err
 
     def test_missing_run_directory_is_a_tool_error(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nothing")], capsys)

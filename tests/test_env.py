@@ -1,16 +1,20 @@
 """Reward shaping, budget accounting, and eval-log integrity."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shardsearch.config import load_config, packaged_config_path
 from shardsearch.env import (
     BudgetExhausted,
-    EvalRecord,
     RewardConfig,
     SearchEnv,
     load_eval_log,
 )
 from shardsearch.model import HardwareSpec, ModelSpec
-from shardsearch.ppo import build_report
+from shardsearch.simulator import InvalidReason, SimResult, TimeBreakdown
 from shardsearch.strategy import (
     ActionSpaceSpec,
     canonical_fused_ops,
@@ -61,6 +65,11 @@ def small_space():
         pp_domain=(1, 2, 4),
         batch_domain=(1, 4, 16),
     )
+
+
+@functools.cache
+def tiny_config():
+    return load_config(packaged_config_path("tiny"))
 
 
 def make_env(budget=16, log_path=None, reward=RewardConfig(), hw=None):
@@ -180,17 +189,29 @@ class TestStep:
         assert len(env.eval_log) == 7
 
 
-def report_of(records):
-    return build_report("test", None, records, restarts=(), budget=8, wall_clock_s=0.0)
+def earliest_best(records):
+    """The earliest maximal valid record by raw throughput, or None."""
+    best = None
+    for record in records:
+        if record.valid and (best is None or record.raw > best.raw):
+            best = record
+    return best
+
+
+def stub_result(raw):
+    return SimResult(
+        valid=True,
+        invalid_reason=InvalidReason.NONE,
+        throughput=raw,
+        tpot_s=0.001,
+        memory_bytes=0.0,
+        breakdown=TimeBreakdown(0.001, 0.0, 0.0),
+    )
 
 
 class TestSelection:
-    """The run's best is ``build_report``'s pick from the eval log: the
+    """The env keeps the run's best in ``best_raw`` and ``best_vector``: the
     best valid record by raw throughput, earliest on ties."""
-
-    def test_empty_log_raises(self):
-        with pytest.raises(ValueError, match="zero evaluations"):
-            report_of(make_env().eval_log)
 
     def test_argmax_by_raw(self):
         env = make_env()
@@ -200,30 +221,58 @@ class TestSelection:
         env.step(hi)  # higher raw, but lower reward: lo raised the baseline
         first, second = env.eval_log
         assert second.raw > first.raw and second.reward < first.reward
-        report = report_of(env.eval_log)
-        assert report.best_vector == hi
-        assert report.best_raw == second.raw
+        assert env.best_vector == hi
+        assert env.best_raw == second.raw
 
     def test_ties_break_earliest(self):
-        def record(index, vector, raw):
-            return EvalRecord(index, vector, raw, raw, valid=True, reason="none")
-
         env = make_env()
         a = megatron_vector(env.space, tp=2, batch=4)
         b = megatron_vector(env.space, tp=1, batch=4)
-        report = report_of([record(0, a, 1.0), record(1, b, 5.0), record(2, a, 5.0)])
-        assert report.best_vector == b
-        assert report.best_raw == 5.0
+        raws = iter((1.0, 5.0, 5.0))
+        env.evaluate_raw = lambda strategy: stub_result(next(raws))
+        for vector in (a, b, a):
+            env.step(vector)
+        assert env.best_vector == b
+        assert env.best_raw == 5.0
 
     def test_all_invalid_has_no_best_vector(self):
         env = make_env(hw=small_hw(hbm_capacity=1e4))
         env.step(megatron_vector(env.space, tp=1, batch=1))
         env.step(megatron_vector(env.space, tp=1, batch=4))
         assert not any(r.valid for r in env.eval_log)
-        report = report_of(env.eval_log)
-        assert report.best_vector is None
-        assert report.best_raw == 0.0
-        assert report.evals == 2
+        assert env.best_vector is None
+        assert env.best_raw == 0.0
+        assert env.evals_used == 2
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_best_is_the_earliest_maximal_valid_record_of_the_log(self, data):
+        cfg = tiny_config()
+        heads = [st.integers(0, k - 1) for k in cfg.space.head_sizes]
+        # Few coarse tuples under many shard axes make equal raws common
+        # (at tp=1 every axis prices the same), so ties get exercised.
+        coarse = data.draw(st.lists(st.tuples(*heads[:4]), min_size=1, max_size=3))
+        vectors = data.draw(
+            st.lists(
+                st.builds(lambda c, f: c + f, st.sampled_from(coarse), st.tuples(*heads[4:])),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        env = SearchEnv(
+            cfg.model,
+            cfg.hardware,
+            cfg.space,
+            context_len=cfg.simulation.context_len,
+            budget=len(vectors),
+            reward=cfg.reward,
+            slo_tpot=cfg.simulation.slo_tpot,
+        )
+        for vector in vectors:
+            env.step(vector)
+        best = earliest_best(env.eval_log)
+        assert env.best_vector == (None if best is None else best.vector)
+        assert env.best_raw == (0.0 if best is None else best.raw)
 
 
 class TestEvalLog:

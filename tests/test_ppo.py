@@ -5,7 +5,6 @@ gradient wiring end to end (surrogate, value, entropy terms together).
 """
 
 import itertools
-import json
 import math
 import multiprocessing
 import os
@@ -31,9 +30,7 @@ from shardsearch.ppo import (
     ChunkExit,
     LossReport,
     PpoConfig,
-    RolloutBatch,
     RolloutSample,
-    SearchReport,
     collect,
     cosine_decay,
     loss_and_grads,
@@ -343,7 +340,7 @@ class TestCollect:
         policy = make_policy(seed=1)
         buf = EliteBuffer(3)
         batch = collect(env, policy, buf, 8, np.random.default_rng(1))
-        assert all(s.reward == env.reward_cfg.invalid_penalty for s in batch.samples)
+        assert all(s.reward == env.reward_cfg.invalid_penalty for s in batch)
         assert len(buf) == 0
 
     def test_frozen_one_hot_policy_repeats_one_strategy(self):
@@ -351,8 +348,8 @@ class TestCollect:
         policy = make_policy()
         force_one_hot(policy, (0,) * 16)
         batch = collect(env, policy, EliteBuffer(3), 2, np.random.default_rng(2))
-        assert batch.samples[0].action == (0,) * 16
-        assert batch.samples[1].action == (0,) * 16
+        assert batch[0].action == (0,) * 16
+        assert batch[1].action == (0,) * 16
 
     def test_budget_exhaustion_discards_partial_batch(self):
         env = make_env(budget=1)
@@ -366,7 +363,7 @@ class TestCollect:
         policy = make_policy(seed=3)
         buf = EliteBuffer(3)
         batch = collect(env, policy, buf, 4, np.random.default_rng(3))
-        for sample in batch.samples:
+        for sample in batch:
             out = policy.forward(sample.obs)
             logprob, _ = policy.action_logprob_entropy(out, sample.action)
             assert logprob == pytest.approx(sample.logprob_old, abs=1e-9)
@@ -387,7 +384,7 @@ class TestPpoUpdate:
         env = make_env()
         policy = make_policy(seed=14)
         batch = self.batch_of(policy, env)
-        for sample in batch.samples:
+        for sample in batch:
             kept = list(arrays(*sample.forward))
             fresh = list(arrays(*policy.forward_cached(sample.obs)))
             assert len(kept) == len(fresh)
@@ -425,7 +422,7 @@ class TestPpoUpdate:
         )
         cfg = small_cfg(entropy_coef=1e-9)
         cfg = PpoConfig(**{**cfg.__dict__, "entropy_coef": 0.0})
-        report, grads = loss_and_grads(policy, RolloutBatch((sample,)), cfg)
+        report, grads = loss_and_grads(policy, (sample,), cfg)
         assert report.policy_loss == 0.0
         assert report.value_loss == 0.0
         for grad in grads.values():
@@ -446,7 +443,7 @@ class TestPpoUpdate:
         cfg = small_cfg(entropy_coef=0.0)
         optimizer = Adam(policy.flat)
         before, _ = policy.action_logprob_entropy(out, action)
-        ppo_update(policy, RolloutBatch((sample,)), cfg, lr=1e-3, optimizer=optimizer)
+        ppo_update(policy, (sample,), cfg, lr=1e-3, optimizer=optimizer)
         after, _ = policy.action_logprob_entropy(policy.forward(obs), action)
         assert after > before
 
@@ -457,6 +454,7 @@ class TestPpoUpdate:
         optimizer = Adam(policy.flat)
         reports = ppo_update(policy, batch, small_cfg(), lr=1e-3, optimizer=optimizer)
         assert len(reports) == 2
+        assert [r.lr for r in reports] == [1e-3, 1e-3]
         assert optimizer.step_count == 2
         # Second epoch runs under moved parameters: ratio leaves 1.
         assert reports[1].mean_ratio != pytest.approx(1.0, abs=1e-15)
@@ -485,7 +483,7 @@ class TestPpoUpdate:
                     value_old=out.value,
                 )
             )
-        batch = RolloutBatch(tuple(samples))
+        batch = tuple(samples)
         cfg = small_cfg()
 
         # Copied: the returned views are the policy's own, and the probes
@@ -518,7 +516,7 @@ class TestPpoUpdate:
             value_old=out.value,
         )
         with pytest.raises(FloatingPointError):
-            loss_and_grads(policy, RolloutBatch((sample,)), small_cfg())
+            loss_and_grads(policy, (sample,), small_cfg())
 
 
 class TestRunChunk:
@@ -585,20 +583,18 @@ class TestRunChunk:
 class TestRunSearch:
     def test_no_early_exit_spends_budget_in_five_chunks(self):
         env = make_env(budget=20)
-        report = run_search(env, small_cfg(tau=2.0), seed=0)
-        assert report.evals == 20
+        restarts = run_search(env, small_cfg(tau=2.0), seed=0)
         assert env.evals_used == 20
-        assert report.restarts == (0, 4, 8, 12, 16)
+        assert restarts == (0, 4, 8, 12, 16)
         assert len(env.eval_log) == 20
 
     def test_early_exits_roll_budget_forward_and_still_spend_all(self):
         # tau far below any reachable confidence: every chunk exits after one
         # update, leftover budget funds extra restarts until spent.
         env = make_env(budget=20)
-        report = run_search(env, small_cfg(tau=1e-6), seed=1)
-        assert report.evals == 20
+        restarts = run_search(env, small_cfg(tau=1e-6), seed=1)
         assert env.evals_used == 20
-        assert report.restarts == tuple(range(0, 20, 2))
+        assert restarts == tuple(range(0, 20, 2))
 
     def test_environment_baseline_never_decreases(self):
         env = make_env(budget=20)
@@ -615,16 +611,16 @@ class TestRunSearch:
         assert all(a <= b for a, b in zip(baselines, baselines[1:]))
 
     def test_same_seed_reproduces_everything_but_the_clock(self):
-        reports, logs = [], []
+        restarts, envs = [], []
         for _ in range(2):
             env = make_env(budget=20)
-            reports.append(run_search(env, small_cfg(), seed=7))
-            logs.append(env.eval_log)
-        a, b = reports
-        assert logs[0] == logs[1]
+            restarts.append(run_search(env, small_cfg(), seed=7))
+            envs.append(env)
+        a, b = envs
+        assert a.eval_log == b.eval_log
         assert a.best_vector == b.best_vector
         assert a.best_raw == b.best_raw
-        assert a.restarts == b.restarts
+        assert restarts[0] == restarts[1]
 
     def test_different_restarts_draw_different_parameters(self):
         rng = np.random.default_rng(0)
@@ -659,19 +655,11 @@ class TestRunSearch:
 
 
 class TestSearchReport:
-    def test_json_roundtrip(self):
-        env = make_env(budget=20)
-        report = run_search(env, small_cfg(), seed=3)
-        payload = json.loads(report.to_json())
-        for key in ("best_vector", "restarts"):
-            payload[key] = tuple(payload[key])
-        assert SearchReport(**payload) == report
-
     def test_best_so_far_curve_is_non_decreasing(self):
         env = make_env(budget=20)
-        report = run_search(env, small_cfg(), seed=4)
+        run_search(env, small_cfg(), seed=4)
         # The curve `report` draws: a running max of the log's raws.
         curve = list(itertools.accumulate((r.raw for r in env.eval_log), max))
         assert len(curve) == 20
         assert all(a <= b for a, b in zip(curve, curve[1:]))
-        assert curve[-1] == report.best_raw
+        assert curve[-1] == env.best_raw
