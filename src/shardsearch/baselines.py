@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import SearchEnv, require_finite
+from .env import SearchEnv
+from .model import check_fields
 from .ppo import cosine_decay
 from .strategy import (
     ActionSpaceSpec,
@@ -43,13 +44,7 @@ class SaConfig:
     neighbor_moves: int = 1
 
     def __post_init__(self) -> None:
-        require_finite("sa", self)
-        if self.t_initial <= 0:
-            raise ValueError(f"sa.t_initial must be positive, got {self.t_initial}")
-        if self.neighbor_moves < 1:
-            raise ValueError(
-                f"sa.neighbor_moves must be >= 1, got {self.neighbor_moves}"
-            )
+        check_fields("sa", self)
 
 
 def uniform_vector(

@@ -31,7 +31,14 @@ from .config import ConfigError, ExperimentConfig, load_config, resolve_config_p
 from .env import SearchEnv, load_eval_log
 from .ppo import run_search
 from .simulator import SimRequest, SimResult, explain, simulate
-from .strategy import AXIS_BY_NAME, AxisChoice, Strategy, canonical_fused_ops, megatron_fine_dims
+from .strategy import (
+    AXIS_BY_NAME,
+    AxisChoice,
+    Strategy,
+    canonical_fused_ops,
+    encode_strategy,
+    megatron_fine_dims,
+)
 
 CONFIG_ENV_VAR = "SHARDSEARCH_CONFIG"
 
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     srch.add_argument(
         "--seeds", type=int, help="number of independent seeded runs (default 1)"
     )
-    srch.add_argument("--seed0", type=int, default=0, help="first seed value")
+    srch.add_argument("--seed0", type=int, help="first seed value (default 0)")
     srch.add_argument(
         "--out", help="run directory (default: runs/<config-name>-<algo>)"
     )
@@ -131,13 +138,6 @@ def _load_experiment(config_flag: str | None) -> tuple[ExperimentConfig, Path]:
         raise CliError(f"no config given: pass --config or set {CONFIG_ENV_VAR}")
     path = resolve_config_path(spec)
     return load_config(path), path
-
-
-def _domain_value(domain: tuple[int, ...], name: str, value: int) -> int:
-    if value not in domain:
-        allowed = ", ".join(str(v) for v in domain)
-        raise CliError(f"{name}={value} not in the configured domain; allowed: {allowed}")
-    return value
 
 
 def _fine_dims(
@@ -184,16 +184,16 @@ def _result_payload(strategy: Strategy, result: SimResult) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, _ = _load_experiment(args.config)
-    space = cfg.space
     strategy = Strategy(
-        tp=_domain_value(space.tp_domain, "tp", args.tp),
-        ep=_domain_value(space.ep_domain, "ep", args.ep),
-        pp=_domain_value(space.pp_domain, "pp", args.pp),
-        batch=_domain_value(space.batch_domain, "batch", args.batch),
-        op_names=space.op_names,
+        tp=args.tp,
+        ep=args.ep,
+        pp=args.pp,
+        batch=args.batch,
+        op_names=cfg.space.op_names,
         op_dims=_fine_dims(args.megatron, args.dims, cfg),
-        pinned_dims=space.pinned,
+        pinned_dims=cfg.space.pinned,
     )
+    encode_strategy(strategy, cfg.space)  # rejects a degree outside its domain
     context = args.context if args.context is not None else cfg.simulation.context_len
     req = SimRequest(
         model=cfg.model,
@@ -249,10 +249,12 @@ def _summarize(algo: str, budget: int, rows: list[dict]) -> dict:
 def cmd_search(args: argparse.Namespace) -> int:
     cfg, config_path = _load_experiment(args.config)
     algo = args.algo
-    if algo == "exhaustive" and (args.budget is not None or args.seeds is not None):
+    given = {"--budget": args.budget, "--seeds": args.seeds, "--seed0": args.seed0}
+    ignored = [flag for flag, value in given.items() if value is not None]
+    if algo == "exhaustive" and ignored:
         print(
             "warning: the exhaustive sweep is deterministic; "
-            "ignoring --budget and --seeds",
+            f"ignoring {' and '.join(ignored)}",
             file=sys.stderr,
         )
     budget = args.budget if args.budget is not None else cfg.ppo.budget
@@ -261,14 +263,15 @@ def cmd_search(args: argparse.Namespace) -> int:
     seeds_count = args.seeds if args.seeds is not None else 1
     if seeds_count < 1:
         raise CliError(f"--seeds must be positive, got {seeds_count}")
-    if args.seed0 < 0:
-        raise CliError(f"--seed0 must be non-negative, got {args.seed0}")
+    seed0 = args.seed0 if args.seed0 is not None else 0
+    if seed0 < 0:
+        raise CliError(f"--seed0 must be non-negative, got {seed0}")
 
     if algo == "exhaustive":
         budget = len(megatron_vectors(cfg.space, canonical_fused_ops(cfg.model)))
         runs = [("grid", None)]
     else:
-        runs = [(f"seed_{n}", n) for n in range(args.seed0, args.seed0 + seeds_count)]
+        runs = [(f"seed_{n}", n) for n in range(seed0, seed0 + seeds_count)]
     # Built before any directory is made: it rejects a budget that the
     # chunks do not divide.
     ppo_cfg = dataclasses.replace(cfg.ppo, budget=budget) if algo == "ppo" else cfg.ppo
@@ -348,6 +351,7 @@ class _RunDir:
     cfg: ExperimentConfig
     workload: str
     algorithm: str
+    budget: int
     seeds: tuple[_SeedRun, ...]
 
 
@@ -392,6 +396,7 @@ def _read_run(path: Path) -> _RunDir:
         cfg=cfg,
         workload=workload,
         algorithm=str(summary["algorithm"]),
+        budget=summary["budget"],
         seeds=tuple(seeds),
     )
 
@@ -420,9 +425,16 @@ def _check_compatible(runs: Sequence[_RunDir]) -> None:
 def _comparison_table(runs: Sequence[_RunDir]) -> list[dict]:
     _check_compatible(runs)
     merged: dict[tuple[str, str], list[_SeedRun]] = {}
+    first_in_row: dict[tuple[str, str], _RunDir] = {}
     found_in: dict[tuple[str, str, int | None], _RunDir] = {}
     for run in runs:
         key = (run.workload, run.algorithm)
+        first = first_in_row.setdefault(key, run)
+        if first.budget != run.budget:
+            raise CliError(
+                f"{run.algorithm} on {run.workload} ran with budget {first.budget} in "
+                f"{first.path} but {run.budget} in {run.path}; refusing to average them"
+            )
         for seed_run in run.seeds:
             prior = found_in.setdefault((*key, seed_run.seed), run)
             if prior is not run:

@@ -6,25 +6,26 @@ optional, falling back to package defaults). Unknown keys anywhere are hard
 errors naming the full dotted path, so typos never silently revert a knob to
 its default.
 
-YAML's number grammar treats exponent literals without a dot or sign (for
-example ``989e12``) as strings; float fields therefore accept strings and
-convert them, so datasheet-style notation works either way.
+Each section is checked by its dataclass, whose fields' annotations decide
+the check (``model.check_fields``). YAML's number grammar treats exponent
+literals without a dot or sign (for example ``989e12``) as strings; float
+fields therefore accept strings and convert them, so datasheet-style notation
+works either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import yaml
 
 from .baselines import SaConfig
 from .env import RewardConfig
-from .model import HardwareSpec, ModelSpec
+from .model import HardwareSpec, ModelSpec, check_fields
 from .ppo import PpoConfig
 from .strategy import AXIS_BY_NAME, ActionSpaceSpec, AxisChoice, canonical_fused_ops
 
@@ -41,12 +42,7 @@ class SimulationSettings:
     slo_tpot: float = 0.050
 
     def __post_init__(self) -> None:
-        if self.context_len < 1:
-            raise ValueError(f"simulation.context_len must be >= 1, got {self.context_len}")
-        if not (math.isfinite(self.slo_tpot) and self.slo_tpot > 0):
-            raise ValueError(
-                f"simulation.slo_tpot must be finite and positive, got {self.slo_tpot}"
-            )
+        check_fields("simulation", self)
 
 
 @dataclass(frozen=True)
@@ -63,25 +59,6 @@ class ExperimentConfig:
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return value
-
-
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{path} must be a number, got {value!r}") from None
-    raise ConfigError(f"{path} must be a number, got {value!r}")
-
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path} must be a boolean, got {value!r}")
     return value
 
 
@@ -121,30 +98,28 @@ def _check_keys(mapping: Mapping[str, Any], path: str, allowed: Mapping[str, Any
         raise ConfigError(f"unknown key {listed}; allowed keys: {sorted(allowed)}")
 
 
-_COERCERS: dict[str, Callable[[Any, str], Any]] = {
-    "int": _as_int,
-    "float": _as_float,
-    "bool": _as_bool,
-    "str": _as_str,
-}
-
-
 def _build_section(cls: type, data: Mapping[str, Any], path: str) -> Any:
-    """One section's dataclass: its fields are the allowed keys, each field's
-    annotation picks the coercer, and a field without a default is required."""
+    """One section's dataclass: its fields are the allowed keys and a field
+    without a default is required. The dataclass checks each value by its
+    field's annotation; a float field also takes a string, which YAML makes
+    of exponent literals such as ``989e12``."""
     mapping = _mapping_section(data, path)
     fields = dataclasses.fields(cls)
     _check_keys(mapping, path, {f.name: None for f in fields})
+    kwargs = {}
     for f in fields:
-        if f.default is dataclasses.MISSING and f.name not in mapping:
-            raise ConfigError(f"missing key '{path}.{f.name}'")
-    return cls(
-        **{
-            f.name: _COERCERS[f.type](mapping[f.name], f"{path}.{f.name}")
-            for f in fields
-            if f.name in mapping
-        }
-    )
+        if f.name not in mapping:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"missing key '{path}.{f.name}'")
+            continue
+        value = mapping[f.name]
+        if f.type == "float" and isinstance(value, str):
+            try:
+                value = float(value)
+            except ValueError:
+                raise ConfigError(f"{path}.{f.name} must be a number, got {value!r}") from None
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 _SPACE_KEYS = ("tp", "ep", "pp", "batch", "ops", "pins")

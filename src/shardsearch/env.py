@@ -16,28 +16,18 @@ valid record of that log (``None`` and 0 while nothing was valid).
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .model import HardwareSpec, ModelSpec
+from .model import HardwareSpec, ModelSpec, check_fields
 from .simulator import SimRequest, simulate
 from .strategy import ActionSpaceSpec, Strategy, decode_strategy
 
 
 class BudgetExhausted(RuntimeError):
     """All simulator calls of the run's budget have been spent."""
-
-
-def require_finite(section: str, knobs) -> None:
-    """Reject a NaN or infinite float field of a config dataclass, naming its key."""
-    for f in dataclasses.fields(knobs):
-        value = getattr(knobs, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{section}.{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,15 +39,7 @@ class RewardConfig:
     invalid_penalty: float = -10.0
 
     def __post_init__(self) -> None:
-        require_finite("reward", self)
-        if not self.alpha > 0:
-            raise ValueError(f"reward.alpha must be positive, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"reward.beta must be positive, got {self.beta}")
-        if not self.invalid_penalty < 0:
-            raise ValueError(
-                f"reward.invalid_penalty must be negative, got {self.invalid_penalty}"
-            )
+        check_fields("reward", self, negative=("invalid_penalty",))
 
 
 @dataclass(frozen=True)

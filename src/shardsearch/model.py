@@ -2,13 +2,68 @@
 
 Both specs are plain immutable dataclasses. Validation lives in
 ``__post_init__`` so a bad spec fails at construction time no matter where it
-came from (YAML, tests, or code).
+came from (YAML, tests, or code). ``check_fields`` is the one field rule that
+every spec of the package applies there.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Any
+
+_SIGNS = {"positive": operator.gt, "non-negative": operator.ge, "negative": operator.lt}
+
+
+@functools.cache
+def _field_rules(cls: type, non_negative: tuple[str, ...], negative: tuple[str, ...]):
+    """(name, annotation, accepted types, sign test, wording) per checked field."""
+    rules = []
+    for f in dataclasses.fields(cls):
+        sign = (
+            "non-negative" if f.name in non_negative
+            else "negative" if f.name in negative
+            else "positive"
+        )
+        kinds = {
+            "int": (int, _SIGNS[sign], f"a {sign} integer"),
+            "float": ((int, float), _SIGNS[sign], f"finite and {sign}"),
+            "bool": (bool, None, "a boolean"),
+            "str": (str, None, "a string"),
+        }
+        if f.type in kinds:
+            rules.append((f.name, f.type, *kinds[f.type]))
+    return tuple(rules)
+
+
+def check_fields(
+    section: str,
+    spec: Any,
+    non_negative: tuple[str, ...] = (),
+    negative: tuple[str, ...] = (),
+) -> None:
+    """Check each field of a dataclass instance by its annotation.
+
+    An ``int`` field must be an integer and a ``float`` field an integer or
+    float that is finite, neither a bool; both must be positive unless the
+    field is named in ``non_negative`` or ``negative``. ``bool`` and ``str``
+    fields must have their type; fields of any other annotation are left to
+    the spec. The error names ``section.field``, the config key.
+    """
+    for name, kind, types, in_sign, wording in _field_rules(
+        type(spec), non_negative, negative
+    ):
+        value = getattr(spec, name)
+        if (
+            not isinstance(value, types)
+            or (type(value) is bool) != (kind == "bool")
+            or (kind == "float" and not math.isfinite(value))
+            or (in_sign is not None and not in_sign(value, 0))
+        ):
+            raise ValueError(f"{section}.{name} must be {wording}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,21 +90,7 @@ class ModelSpec:
     dtype_bytes: int = 2
 
     def __post_init__(self) -> None:
-        counts = {
-            "num_layers": self.num_layers,
-            "hidden_dim": self.hidden_dim,
-            "num_heads": self.num_heads,
-            "head_dim": self.head_dim,
-            "num_kv_heads": self.num_kv_heads,
-            "ffn_dim": self.ffn_dim,
-            "num_experts": self.num_experts,
-            "experts_per_token": self.experts_per_token,
-            "vocab_size": self.vocab_size,
-            "dtype_bytes": self.dtype_bytes,
-        }
-        for field, value in counts.items():
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"model.{field} must be a positive integer, got {value!r}")
+        check_fields("model", self)
         if self.num_heads * self.head_dim != self.hidden_dim:
             raise ValueError(
                 f"model.num_heads * model.head_dim must equal model.hidden_dim "
@@ -94,32 +135,9 @@ class HardwareSpec:
     per_collective_latency: float
 
     def __post_init__(self) -> None:
-        rates = {
-            "peak_flops": self.peak_flops,
-            "hbm_bandwidth": self.hbm_bandwidth,
-            "hbm_capacity": self.hbm_capacity,
-            "intra_node_bw": self.intra_node_bw,
-            "inter_node_bw": self.inter_node_bw,
-        }
-        for field, value in rates.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"hardware.{field} must be finite and positive, got {value!r}"
-                )
-        if not isinstance(self.node_size, int) or self.node_size < 1:
-            raise ValueError(f"hardware.node_size must be a positive integer, got {self.node_size!r}")
-        if not isinstance(self.device_budget, int) or self.device_budget < 1:
-            raise ValueError(
-                f"hardware.device_budget must be a positive integer, got {self.device_budget!r}"
-            )
-        for field, value in (
-            ("kernel_overhead", self.kernel_overhead),
-            ("per_collective_latency", self.per_collective_latency),
-        ):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"hardware.{field} must be finite and non-negative, got {value!r}"
-                )
+        check_fields(
+            "hardware", self, non_negative=("kernel_overhead", "per_collective_latency")
+        )
 
 
 @dataclass(frozen=True)

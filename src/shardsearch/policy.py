@@ -233,10 +233,9 @@ def _layer_norm_backward(
 class PolicyNetwork:
     """Single-block encoder policy with one categorical head per sub-action.
 
-    ``width`` is both the strategy-embedding size and the encoder width; the
-    feed-forward inner width defaults to the same. The encoder block is
-    post-norm: residual adds feed two LayerNorms, single-head scaled
-    dot-product attention in between.
+    ``width`` is the strategy-embedding size, the encoder width and the
+    feed-forward inner width. The encoder block is post-norm: residual adds
+    feed two LayerNorms, single-head scaled dot-product attention in between.
     """
 
     def __init__(
@@ -247,16 +246,14 @@ class PolicyNetwork:
         rng: np.random.Generator,
         history_len: int = 3,
         width: int = 256,
-        ffn_width: int = 256,
     ) -> None:
-        if history_len < 1 or width < 1 or ffn_width < 1:
-            raise ValueError("history_len, width and ffn_width must be >= 1")
+        if history_len < 1 or width < 1:
+            raise ValueError("history_len and width must be >= 1")
         self.space = space
         self.mask = head_masks(space, ops)
         self.head_sizes = space.head_sizes
         self.history_len = int(history_len)
         self.width = int(width)
-        self.ffn_width = int(ffn_width)
         self._scale = 1.0 / np.sqrt(float(width))
         # Head i owns choices [starts[i], starts[i] + sizes[i]) of the
         # matrix columns and the first sizes[i] cells of table row i.
@@ -288,7 +285,7 @@ class PolicyNetwork:
         self, rng: np.random.Generator, choices: int
     ) -> dict[str, np.ndarray]:
         obs_dim = self.space.vector_length
-        d, f = self.width, self.ffn_width
+        d = self.width
 
         def fan_in(rows: int, cols: int) -> np.ndarray:
             limit = 1.0 / np.sqrt(float(rows))
@@ -307,9 +304,9 @@ class PolicyNetwork:
             "attn.bo": np.zeros(d),
             "ln1.g": np.ones(d),
             "ln1.b": np.zeros(d),
-            "ffn.w1": fan_in(d, f),
-            "ffn.b1": np.zeros(f),
-            "ffn.w2": fan_in(f, d),
+            "ffn.w1": fan_in(d, d),
+            "ffn.b1": np.zeros(d),
+            "ffn.w2": fan_in(d, d),
             "ffn.b2": np.zeros(d),
             "ln2.g": np.ones(d),
             "ln2.b": np.zeros(d),

@@ -28,7 +28,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .env import SearchEnv, require_finite
+from .env import SearchEnv
+from .model import check_fields
 from .policy import (
     EliteBuffer,
     NumericsError,
@@ -56,31 +57,9 @@ class PpoConfig:
     tau: float = 0.95
     history_len: int = 3
     width: int = 256
-    ffn_width: int = 256
 
     def __post_init__(self) -> None:
-        require_finite("ppo", self)
-        positive = {
-            "budget": self.budget,
-            "chunks": self.chunks,
-            "n_steps": self.n_steps,
-            "epochs_per_update": self.epochs_per_update,
-            "lr_initial": self.lr_initial,
-            "clip_eps": self.clip_eps,
-            "tau": self.tau,
-            "history_len": self.history_len,
-            "width": self.width,
-            "ffn_width": self.ffn_width,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"ppo.{name} must be positive, got {value}")
-        for name, value in (
-            ("value_coef", self.value_coef),
-            ("entropy_coef", self.entropy_coef),
-        ):
-            if value < 0:
-                raise ValueError(f"ppo.{name} must be non-negative, got {value}")
+        check_fields("ppo", self, non_negative=("value_coef", "entropy_coef"))
         if self.budget % self.chunks != 0:
             raise ValueError(
                 f"ppo.chunks ({self.chunks}) must divide ppo.budget ({self.budget})"
@@ -511,7 +490,6 @@ def run_search(env: SearchEnv, cfg: PpoConfig, seed: int) -> tuple[int, ...]:
             rng=rng,
             history_len=cfg.history_len,
             width=cfg.width,
-            ffn_width=cfg.ffn_width,
         )
         outcome = run_chunk(env, policy, buf, allowance, cfg, rng)
         del policy

@@ -42,7 +42,7 @@ from .layout import (
     PlanStep,
     plan_layer,
 )
-from .model import HardwareSpec, ModelSpec, count_parameters
+from .model import HardwareSpec, ModelSpec, check_fields, count_parameters
 from .strategy import AxisChoice, CostKind, FusedOpDescriptor, Strategy, canonical_fused_ops
 
 
@@ -65,12 +65,7 @@ class SimRequest:
     slo_tpot: float = 0.050
 
     def __post_init__(self) -> None:
-        if self.context_len < 1:
-            raise ValueError(f"context_len must be positive, got {self.context_len}")
-        if not (math.isfinite(self.slo_tpot) and self.slo_tpot > 0):
-            raise ValueError(
-                f"simulation.slo_tpot must be finite and positive, got {self.slo_tpot}"
-            )
+        check_fields("simulation", self)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Mapping
 
-from .model import ModelSpec
+from .model import ModelSpec, check_fields
 
 
 class AxisChoice(IntEnum):
@@ -182,28 +182,29 @@ class ActionSpaceSpec:
     DIM_CHOICES = 3
 
     def __post_init__(self) -> None:
-        for label, domain in (
-            ("tp_domain", self.tp_domain),
-            ("ep_domain", self.ep_domain),
-            ("pp_domain", self.pp_domain),
-            ("batch_domain", self.batch_domain),
+        # Errors name the config keys of the action_space section.
+        for key, domain in (
+            ("tp", self.tp_domain),
+            ("ep", self.ep_domain),
+            ("pp", self.pp_domain),
+            ("batch", self.batch_domain),
         ):
             if len(domain) == 0:
-                raise ValueError(f"action_space.{label} must not be empty")
-            if any(not isinstance(v, int) or v < 1 for v in domain):
-                raise ValueError(f"action_space.{label} entries must be positive integers")
+                raise ValueError(f"action_space.{key} must not be empty")
+            if any(type(v) is bool or not isinstance(v, int) or v < 1 for v in domain):
+                raise ValueError(f"action_space.{key} entries must be positive integers")
             if len(set(domain)) != len(domain):
-                raise ValueError(f"action_space.{label} entries must be unique")
+                raise ValueError(f"action_space.{key} entries must be unique")
         if len(self.op_names) == 0:
-            raise ValueError("action_space.op_names must not be empty")
+            raise ValueError("action_space.ops must not be empty")
         if len(set(self.op_names)) != len(self.op_names):
-            raise ValueError("action_space.op_names entries must be unique")
+            raise ValueError("action_space.ops entries must be unique")
         pinned_names = [name for name, _ in self.pinned]
         if len(set(pinned_names)) != len(pinned_names):
-            raise ValueError("action_space.pinned entries must be unique")
+            raise ValueError("action_space.pins entries must be unique")
         overlap = set(pinned_names) & set(self.op_names)
         if overlap:
-            raise ValueError(f"action_space.pinned must not repeat controlled ops: {sorted(overlap)}")
+            raise ValueError(f"action_space.pins must not repeat controlled ops: {sorted(overlap)}")
 
     @property
     def num_ops(self) -> int:
@@ -251,9 +252,7 @@ class Strategy:
     pinned_dims: tuple[tuple[str, AxisChoice], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        for label, value in (("tp", self.tp), ("ep", self.ep), ("pp", self.pp), ("batch", self.batch)):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"strategy.{label} must be a positive integer, got {value!r}")
+        check_fields("strategy", self)
         if len(self.op_dims) != len(self.op_names):
             raise ValueError(
                 f"strategy.op_dims length {len(self.op_dims)} != op_names length {len(self.op_names)}"
@@ -292,7 +291,10 @@ def encode_strategy(strategy: Strategy, space: ActionSpaceSpec) -> tuple[int, ..
         try:
             indices.append(domain.index(value))
         except ValueError:
-            raise EncodingError(f"{label}={value} is not in domain {domain}") from None
+            allowed = ", ".join(str(v) for v in domain)
+            raise EncodingError(
+                f"{label}={value} is not in the configured domain; allowed: {allowed}"
+            ) from None
     indices.extend(int(axis) for axis in strategy.op_dims)
     return tuple(indices)
 

@@ -235,7 +235,7 @@ def test_gradients_collective_costs_breakdown_and_codec_are_exact(tiny_cfg):
     space = tiny_cfg.space
     ops = canonical_fused_ops(tiny_cfg.model)
     rng = np.random.default_rng(5)
-    policy = PolicyNetwork(space, ops, rng=rng, width=8, ffn_width=8)
+    policy = PolicyNetwork(space, ops, rng=rng, width=8)
     for name in policy.params:
         if name.startswith(("head.", "value.w", "value.b")):
             policy.params[name][...] = rng.normal(scale=0.3, size=policy.params[name].shape)
@@ -255,7 +255,7 @@ def test_gradients_collective_costs_breakdown_and_codec_are_exact(tiny_cfg):
             )
         )
     batch = tuple(samples)
-    cfg = PpoConfig(budget=8, chunks=1, width=8, ffn_width=8)
+    cfg = PpoConfig(budget=8, chunks=1, width=8)
     # Copied: the returned views are the policy's own, and the probes below
     # overwrite them.
     grads = {name: g.copy() for name, g in loss_and_grads(policy, batch, cfg)[1].items()}
@@ -335,11 +335,11 @@ def test_gradients_collective_costs_breakdown_and_codec_are_exact(tiny_cfg):
 def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path):
     space = tiny_cfg.space
     ops = canonical_fused_ops(tiny_cfg.model)
-    chunk_cfg = PpoConfig(budget=8, chunks=1, n_steps=2, width=16, ffn_width=16)
+    chunk_cfg = PpoConfig(budget=8, chunks=1, n_steps=2, width=16)
 
     def fresh_policy(seed):
         return PolicyNetwork(
-            space, ops, rng=np.random.default_rng(seed), width=16, ffn_width=16
+            space, ops, rng=np.random.default_rng(seed), width=16
         )
 
     def one_hot(policy, action):
@@ -378,10 +378,10 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
     buf = EliteBuffer(3)
     buf.offer(TINY_BEST_VECTOR, 1e9)  # sentinel no later offer can evict
     rng = np.random.default_rng(4)
-    first = PolicyNetwork(space, ops, rng=rng, width=16, ffn_width=16)
+    first = PolicyNetwork(space, ops, rng=rng, width=16)
     run_chunk(env, first, buf, allowance=20, cfg=chunk_cfg, rng=rng)
     assert env.best_raw >= pre_best
-    second = PolicyNetwork(space, ops, rng=rng, width=16, ffn_width=16)
+    second = PolicyNetwork(space, ops, rng=rng, width=16)
     assert not np.array_equal(first.params["embed.w"], second.params["embed.w"])
     run_chunk(env, second, buf, allowance=20, cfg=chunk_cfg, rng=rng)
     assert env.best_raw >= pre_best
@@ -391,7 +391,7 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
     # and the restart offsets trace the protocol.
     for tau, restarts in ((2.0, (0, 4, 8, 12, 16)), (1e-6, tuple(range(0, 20, 2)))):
         env = make_env(tiny_cfg, 20)
-        cfg = PpoConfig(budget=20, chunks=5, n_steps=2, tau=tau, width=16, ffn_width=16)
+        cfg = PpoConfig(budget=20, chunks=5, n_steps=2, tau=tau, width=16)
         assert run_search(env, cfg, seed=5) == restarts
         assert env.evals_used == 20
 
@@ -410,7 +410,7 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
     with make_env(tiny_cfg, 30, log_path=log_path) as env:
         run_search(
             env,
-            PpoConfig(budget=30, chunks=5, n_steps=2, width=16, ffn_width=16),
+            PpoConfig(budget=30, chunks=5, n_steps=2, width=16),
             seed=6,
         )
     records = load_eval_log(log_path)

@@ -271,6 +271,15 @@ class TestSearch:
         assert summary["budget"] == 81
         assert summary["runs"] == 1
 
+    def test_exhaustive_names_an_ignored_seed0(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["search", "--config", "tiny", "--algo", "exhaustive", "--seed0", "5",
+             "--out", str(tmp_path / "ex")],
+            capsys,
+        )
+        assert code == 0
+        assert "ignoring --seed0" in err
+
     def test_refuses_to_overwrite_finished_run(self, tmp_path, capsys):
         out_dir = tmp_path / "once"
         args = ["search", "--config", "tiny", "--algo", "rw", "--budget", "5",
@@ -500,6 +509,19 @@ class TestReport:
         assert code == 1
         assert out == ""
         assert f"in both {rw} and {rw}" in err
+
+    def test_runs_of_different_budgets_are_refused(self, tmp_path, capsys):
+        a = make_run(tmp_path, capsys, "rw", "a", budget="20", seeds="2")
+        b = tmp_path / "b"
+        assert run_cli(
+            ["search", "--config", "tiny", "--algo", "rw", "--budget", "40",
+             "--seeds", "2", "--seed0", "5", "--out", str(b)],
+            capsys,
+        )[0] == 0
+        code, out, err = run_cli(["report", str(a), str(b)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"budget 20 in {a} but 40 in {b}" in err
 
     def test_missing_run_directory_is_a_tool_error(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nothing")], capsys)

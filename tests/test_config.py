@@ -1,19 +1,26 @@
-"""Strict YAML config parsing and the shipped experiment configs."""
+"""Strict YAML config parsing, the field rule and the shipped configs."""
 
+import dataclasses
+import math
 import re
 
 import pytest
 import yaml
 
+from shardsearch.baselines import SaConfig
 from shardsearch.config import (
     ConfigError,
+    SimulationSettings,
     load_config,
     packaged_config_path,
     parse_config,
     resolve_config_path,
 )
-from shardsearch.model import count_parameters
-from shardsearch.strategy import AxisChoice
+from shardsearch.env import RewardConfig
+from shardsearch.model import HardwareSpec, ModelSpec, count_parameters
+from shardsearch.ppo import PpoConfig
+from shardsearch.simulator import SimRequest
+from shardsearch.strategy import AxisChoice, Strategy
 
 
 # Every float field of the learner, reward and annealing sections.
@@ -225,6 +232,117 @@ class TestActionSpaceSection:
         doc = minimal_doc(action_space={"tp": [1, 1, 2]})
         with pytest.raises(ConfigError, match="unique"):
             parse_config(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tp", [0], "action_space.tp entries must be positive integers"),
+            ("ep", [], "action_space.ep must not be empty"),
+            ("pp", [2, 2], "action_space.pp entries must be unique"),
+            ("batch", [1, 1], "action_space.batch entries must be unique"),
+            ("ops", [], "action_space.ops must not be empty"),
+            ("ops", ["lm_head", "lm_head"], "action_space.ops entries must be unique"),
+            ("pins", {"lm_head": "dim1"}, "action_space.pins must not repeat"),
+        ],
+    )
+    def test_space_errors_name_the_config_key(self, key, value, message):
+        doc = minimal_doc(action_space={key: value})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(doc)
+
+
+def valid_fields(cls):
+    """Keyword arguments of one valid instance of each checked spec."""
+    doc = minimal_doc()
+    strategy = {
+        "tp": 1,
+        "ep": 1,
+        "pp": 1,
+        "batch": 1,
+        "op_names": ("qkv_proj",),
+        "op_dims": (AxisChoice.UNSHARDED,),
+    }
+    return {
+        ModelSpec: doc["model"],
+        HardwareSpec: doc["hardware"],
+        SimulationSettings: doc["simulation"],
+        SimRequest: {
+            "model": ModelSpec(**doc["model"]),
+            "hw": HardwareSpec(**doc["hardware"]),
+            "strategy": Strategy(**strategy),
+            "context_len": 256,
+        },
+        RewardConfig: {},
+        PpoConfig: {},
+        SaConfig: {},
+        Strategy: strategy,
+    }[cls]
+
+
+# Each spec with the section its errors name; the first six are config
+# sections.
+SPEC_SECTIONS = (
+    (ModelSpec, "model"),
+    (HardwareSpec, "hardware"),
+    (SimulationSettings, "simulation"),
+    (RewardConfig, "reward"),
+    (PpoConfig, "ppo"),
+    (SaConfig, "sa"),
+    (SimRequest, "simulation"),
+    (Strategy, "strategy"),
+)
+CONFIG_SPECS = {cls for cls, _ in SPEC_SECTIONS[:6]}
+NON_NEGATIVE = {
+    "hardware.kernel_overhead",
+    "hardware.per_collective_latency",
+    "ppo.value_coef",
+    "ppo.entropy_coef",
+}
+NEGATIVE = {"reward.invalid_penalty"}
+
+
+def bad_field_values():
+    """(spec, section, field, value) for each value the field rule refuses."""
+    for cls, section in SPEC_SECTIONS:
+        for f in dataclasses.fields(cls):
+            key = f"{section}.{f.name}"
+            if f.type == "bool":
+                bad = [1, "yes"]
+            elif f.type == "str":
+                bad = [3, None]
+            elif f.type in ("int", "float"):
+                bad = [math.nan, math.inf, -math.inf, True] if f.type == "float" else [2.5, True]
+                bad += [1] if key in NEGATIVE else [-1] if key in NON_NEGATIVE else [0, -1]
+            else:
+                continue
+            for value in bad:
+                yield pytest.param(
+                    cls, section, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}"
+                )
+
+
+class TestFieldRule:
+    """Every spec checks each field by its annotation, from code and YAML."""
+
+    @pytest.mark.parametrize("cls, section, name, value", bad_field_values())
+    def test_bad_value_names_the_key(self, cls, section, name, value):
+        kwargs = {**valid_fields(cls), name: value}
+        message = rf"^{re.escape(section)}\.{name} must be "
+        if isinstance(value, float) and not math.isfinite(value):
+            message += "finite"
+        with pytest.raises(ValueError, match=message):
+            cls(**kwargs)
+        if cls in CONFIG_SPECS:
+            doc = minimal_doc()
+            doc[section] = {**doc.get(section, {}), name: value}
+            with pytest.raises(ConfigError, match=message):
+                parse_config(doc)
+
+    def test_float_fields_take_integers(self):
+        doc = minimal_doc()
+        doc["hardware"]["kernel_overhead"] = 0
+        doc["hardware"]["peak_flops"] = 10**15
+        assert parse_config(doc).hardware.peak_flops == 1e15
 
 
 class TestShippedConfigs:

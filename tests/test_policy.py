@@ -60,7 +60,6 @@ def toy_policy(seed=0, width=8, history_len=3):
         rng=np.random.default_rng(seed),
         history_len=history_len,
         width=width,
-        ffn_width=width,
     )
 
 
@@ -340,7 +339,7 @@ class TestSample:
             op_names=("alpha", "beta", "gamma")[:ops],
         )
         policy = PolicyNetwork(
-            space, toy_ops(), rng=np.random.default_rng(0), width=2, ffn_width=2
+            space, toy_ops(), rng=np.random.default_rng(0), width=2
         )
         weight = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
         probs = np.zeros(policy.mask.shape)

@@ -100,12 +100,11 @@ def make_policy(seed=0, width=16):
         rng=np.random.default_rng(seed),
         history_len=3,
         width=width,
-        ffn_width=width,
     )
 
 
 def small_cfg(**overrides):
-    base = dict(budget=20, chunks=5, width=16, ffn_width=16)
+    base = dict(budget=20, chunks=5, width=16)
     base.update(overrides)
     return PpoConfig(**base)
 
@@ -625,8 +624,8 @@ class TestRunSearch:
     def test_different_restarts_draw_different_parameters(self):
         rng = np.random.default_rng(0)
         ops = canonical_fused_ops(small_model())
-        first = PolicyNetwork(small_space(), ops, rng=rng, width=16, ffn_width=16)
-        second = PolicyNetwork(small_space(), ops, rng=rng, width=16, ffn_width=16)
+        first = PolicyNetwork(small_space(), ops, rng=rng, width=16)
+        second = PolicyNetwork(small_space(), ops, rng=rng, width=16)
         assert not np.array_equal(first.params["embed.w"], second.params["embed.w"])
 
     def test_insufficient_environment_budget_rejected(self):
@@ -642,13 +641,13 @@ class TestRunSearch:
         cfg = small_cfg(tau=2.0)
         rng = np.random.default_rng(8)
         ops = canonical_fused_ops(small_model())
-        first = PolicyNetwork(small_space(), ops, rng=rng, width=16, ffn_width=16)
+        first = PolicyNetwork(small_space(), ops, rng=rng, width=16)
         run_chunk(env, first, buf, allowance=10, cfg=cfg, rng=rng)
         entries_before = buf.entries
         baseline_before = env.best_raw
         assert entries_before, "chunk should have found at least one valid strategy"
 
-        fresh = PolicyNetwork(small_space(), ops, rng=rng, width=16, ffn_width=16)
+        fresh = PolicyNetwork(small_space(), ops, rng=rng, width=16)
         run_chunk(env, fresh, buf, allowance=10, cfg=cfg, rng=rng)
         assert set(entries_before) <= set(buf.entries) or len(buf.entries) == 3
         assert env.best_raw >= baseline_before

@@ -104,7 +104,7 @@ class TestActionSpace:
             ActionSpaceSpec(tp_domain=(1, 2, 2))
 
     def test_pinned_overlap_with_controlled_rejected(self):
-        with pytest.raises(ValueError, match="pinned"):
+        with pytest.raises(ValueError, match="pins"):
             ActionSpaceSpec(pinned=(("qkv_proj", AxisChoice.DIM1),))
 
 
