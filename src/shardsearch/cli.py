@@ -422,6 +422,16 @@ def _check_compatible(runs: Sequence[_RunDir]) -> None:
             )
 
 
+def _searcher_settings(run: _RunDir) -> dict:
+    """The config section of the run's searcher, ``ppo`` without its budget
+    (``--budget`` overrides it, and a row checks budgets on its own)."""
+    if run.algorithm == "ppo":
+        return {**dataclasses.asdict(run.cfg.ppo), "budget": None}
+    if run.algorithm == "sa":
+        return dataclasses.asdict(run.cfg.sa)
+    return {}
+
+
 def _comparison_table(runs: Sequence[_RunDir]) -> list[dict]:
     _check_compatible(runs)
     merged: dict[tuple[str, str], list[_SeedRun]] = {}
@@ -434,6 +444,12 @@ def _comparison_table(runs: Sequence[_RunDir]) -> list[dict]:
             raise CliError(
                 f"{run.algorithm} on {run.workload} ran with budget {first.budget} in "
                 f"{first.path} but {run.budget} in {run.path}; refusing to average them"
+            )
+        if _searcher_settings(first) != _searcher_settings(run):
+            raise CliError(
+                f"{run.algorithm} on {run.workload} ran with different "
+                f"{run.algorithm} settings in {first.path} and {run.path}; "
+                "refusing to average them"
             )
         for seed_run in run.seeds:
             prior = found_in.setdefault((*key, seed_run.seed), run)

@@ -278,18 +278,22 @@ def collect(
     ``first`` is an (observation, output, cache) triple already computed on
     the current buffer and parameters; the first step uses it as its
     forward pass.
+
+    The parameters do not move within a batch, so a forward pass stays
+    valid until the buffer changes: steps after an unchanged buffer reuse
+    the previous step's observation and forward pass.
     """
     samples = []
-    for step in range(n):
-        if step == 0 and first is not None:
-            obs, out, cache = first
-        else:
+    current = first
+    for _ in range(n):
+        if current is None:
             obs = build_observation(buf, policy.space)
-            out, cache = policy.forward_cached(obs)
+            current = (obs, *policy.forward_cached(obs))
+        obs, out, cache = current
         action, logprob, _ = policy.sample(out, rng)
         reward, _, valid = env.step(action)
-        if valid:
-            buf.offer(action, reward)
+        if valid and buf.offer(action, reward):
+            current = None
         samples.append(
             RolloutSample(
                 obs=obs,
@@ -322,7 +326,9 @@ def loss_and_grads(
     policy's named views into it, which the next call overwrites. With
     ``reuse_forward`` each sample's stored forward pass stands in for a new
     one, which is exact only while the parameters are those it was taken
-    under.
+    under. Otherwise samples holding the same observation object, as
+    ``collect`` hands out while the buffer stands still, share one new
+    forward pass.
     """
     n = len(batch)
     if n == 0:
@@ -333,6 +339,7 @@ def loss_and_grads(
     entropy_total = 0.0
     clipped = 0
     ratio_sum = 0.0
+    forwards: dict[int, tuple[PolicyOutput, dict]] = {}
 
     for i, sample in enumerate(batch):
         if not (
@@ -344,7 +351,11 @@ def loss_and_grads(
         if reuse_forward and sample.forward is not None:
             out, cache = sample.forward
         else:
-            out, cache = policy.forward_cached(sample.obs)
+            # ``batch`` keeps every observation alive, so ids stay distinct.
+            forward = forwards.get(id(sample.obs))
+            if forward is None:
+                forward = forwards[id(sample.obs)] = policy.forward_cached(sample.obs)
+            out, cache = forward
         advantage = sample.reward - sample.value_old
         logprob_new = out.logprob(sample.action)
         head_entropy = out.head_entropies()

@@ -465,6 +465,34 @@ class TestReport:
         assert code == 1
         assert "disagree" in err
 
+    def test_one_row_needs_one_set_of_searcher_settings(self, tmp_path, capsys):
+        config = tmp_path / "narrow.yaml"
+        packaged = packaged_config_path("tiny").read_text(encoding="utf-8")
+        assert "  width: 64\n" in packaged
+        config.write_text(packaged.replace("  width: 64\n", "  width: 8\n"), encoding="utf-8")
+        a = make_run(tmp_path, capsys, "ppo", "a", budget="10", seeds="1")
+        b = tmp_path / "b"
+        args = ["search", "--config", str(config), "--algo", "ppo", "--budget", "10",
+                "--seed0", "3", "--out", str(b)]
+        assert run_cli(args, capsys)[0] == 0
+        code, out, err = run_cli(["report", str(a), str(b)], capsys)
+        assert code == 1 and out == ""
+        assert str(a) in err and str(b) in err and "ppo settings" in err
+
+    def test_ppo_rows_ignore_the_config_budget(self, tmp_path, capsys):
+        config = tmp_path / "long.yaml"
+        packaged = packaged_config_path("tiny").read_text(encoding="utf-8")
+        assert "  budget: 1000\n" in packaged
+        config.write_text(packaged.replace("  budget: 1000\n", "  budget: 2000\n"), encoding="utf-8")
+        a = make_run(tmp_path, capsys, "ppo", "a", budget="10", seeds="1")
+        b = tmp_path / "b"
+        args = ["search", "--config", str(config), "--algo", "ppo", "--budget", "10",
+                "--seed0", "3", "--out", str(b)]
+        assert run_cli(args, capsys)[0] == 0
+        code, out, _ = run_cli(["report", str(a), str(b)], capsys)
+        assert code == 0
+        assert out.splitlines()[1].split()[2] == "2"  # one ppo row of two runs
+
     def test_different_workloads_get_separate_rows(self, tmp_path, capsys):
         a = make_run(tmp_path, capsys, "rw", "a", budget="5", seeds="1")
         b = make_run(tmp_path, capsys, "rw", "b", budget="5", seeds="1")

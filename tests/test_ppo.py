@@ -8,19 +8,24 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import threading
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import shardsearch.ppo as ppo_module
+from shardsearch.cli import main
 from shardsearch.env import BudgetExhausted, RewardConfig, SearchEnv
 from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.policy import (
     EliteBuffer,
+    NumericsError,
     PolicyNetwork,
     build_observation,
     confidence,
@@ -115,6 +120,25 @@ def force_one_hot(policy, action):
         bias = np.full(k, -50.0)
         bias[idx] = 50.0
         policy.params[f"head.{i}.b"][...] = bias
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Counts of ``PolicyNetwork.forward_cached`` and ``build_observation``."""
+    counts = {"forward": 0, "observation": 0}
+    forward = PolicyNetwork.forward_cached
+
+    def counted_forward(self, obs):
+        counts["forward"] += 1
+        return forward(self, obs)
+
+    def counted_observation(buf, space):
+        counts["observation"] += 1
+        return build_observation(buf, space)
+
+    monkeypatch.setattr(PolicyNetwork, "forward_cached", counted_forward)
+    monkeypatch.setattr(ppo_module, "build_observation", counted_observation)
+    return counts
 
 
 class TestPpoConfig:
@@ -357,6 +381,36 @@ class TestCollect:
             collect(env, policy, EliteBuffer(3), 2, np.random.default_rng(0))
         assert env.evals_used == 1  # the spent eval stays spent
 
+    def test_forward_pass_is_reused_until_the_buffer_changes(self, forward_calls):
+        env = make_env(budget=10)
+        policy = make_policy()
+        force_one_hot(policy, (0,) * 16)
+        buf = EliteBuffer(3)
+        batch = collect(env, policy, buf, 3, np.random.default_rng(2))
+        assert all(record.valid for record in env.eval_log)
+        # Step 0 fills the empty buffer; steps 1 and 2 repeat its vector,
+        # which the buffer rejects, so only step 1 needs a new pass.
+        assert forward_calls == {"forward": 2, "observation": 2}
+        assert batch[0].obs is not batch[1].obs
+        assert batch[0].forward[0] is not batch[1].forward[0]
+        assert batch[1].obs is batch[2].obs
+        assert batch[1].forward[0] is batch[2].forward[0]
+        np.testing.assert_array_equal(batch[1].obs, build_observation(buf, policy.space))
+
+    def test_an_unchanged_buffer_costs_one_forward_pass_per_batch(self, forward_calls):
+        env = SearchEnv(
+            model=small_model(),
+            hw=HardwareSpec(**{**vars(small_hw()), "hbm_capacity": 1e4}),
+            space=small_space(),
+            context_len=256,
+            budget=8,
+            reward=RewardConfig(),
+        )
+        batch = collect(env, make_policy(seed=1), EliteBuffer(3), 8, np.random.default_rng(1))
+        assert not any(record.valid for record in env.eval_log)
+        assert forward_calls == {"forward": 1, "observation": 1}
+        assert all(sample.obs is batch[0].obs for sample in batch)
+
     def test_logprob_old_matches_recomputation_before_update(self):
         env = make_env(budget=10)
         policy = make_policy(seed=3)
@@ -398,6 +452,61 @@ class TestPpoUpdate:
         assert reused.mean_ratio == recomputed.mean_ratio
         for name in policy.params:
             np.testing.assert_array_equal(reused_grads[name], fresh_grads[name])
+
+    def test_samples_of_one_observation_share_one_forward_pass(self, forward_calls):
+        policy = make_policy(seed=15)
+        rng = np.random.default_rng(15)
+        shared, other = rng.random((3, 16)), rng.random((3, 16))
+        batch = []
+        for obs in (shared, other, shared):
+            out = policy.forward(obs)
+            action, logprob, _ = policy.sample(out, rng)
+            batch.append(
+                RolloutSample(
+                    obs=obs,
+                    action=action,
+                    logprob_old=logprob - 0.1,
+                    reward=out.value + rng.normal(),
+                    value_old=out.value,
+                )
+            )
+        # Copies of the observations: no two samples share an object.
+        apart = [replace(sample, obs=sample.obs.copy()) for sample in batch]
+        report_apart, grads = loss_and_grads(policy, apart, small_cfg())
+        grads_apart = {name: g.copy() for name, g in grads.items()}
+        forward_calls["forward"] = 0
+        report, grads = loss_and_grads(policy, batch, small_cfg())
+        assert forward_calls["forward"] == 2
+        assert replace(report, lr=0.0) == replace(report_apart, lr=0.0)  # lr is NaN
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, grads_apart[name], err_msg=name)
+
+    @pytest.mark.parametrize(
+        "width, name",
+        [(8, "ffn.w1"), (128, "value.w1")],
+        ids=["one-block", "two-threads"],
+    )
+    def test_a_non_finite_step_names_the_tensor(self, monkeypatch, width, name):
+        monkeypatch.setattr(ppo_module, "_usable_cpus", lambda: 2)
+        env = make_env()
+        policy = make_policy(seed=16, width=width)
+        batch = self.batch_of(policy, env, seed=16)
+        optimizer = Adam(policy.flat)
+        offset = (policy.params[name].ctypes.data - policy.flat.ctypes.data) // policy.flat.itemsize
+        if width == 8:
+            assert optimizer._split is None
+        else:
+            assert optimizer._split is not None and offset >= optimizer._split
+        backward = policy.backward
+
+        def poisoned(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            grads[name][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(policy, "backward", poisoned)
+        with pytest.raises(NumericsError, match=rf"non-finite values in {re.escape(name)}$"):
+            ppo_update(policy, batch, small_cfg(width=width), 1e-3, optimizer)
 
     def test_ratio_is_one_on_first_epoch(self):
         env = make_env()
@@ -651,6 +760,20 @@ class TestRunSearch:
         run_chunk(env, fresh, buf, allowance=10, cfg=cfg, rng=rng)
         assert set(entries_before) <= set(buf.entries) or len(buf.entries) == 3
         assert env.best_raw >= baseline_before
+
+
+class TestForwardPasses:
+    def test_a_tiny_search_runs_about_one_forward_pass_per_eval(
+        self, tmp_path, capsys, forward_calls
+    ):
+        budget = 200
+        args = ["search", "--config", "tiny", "--algo", "ppo", "--budget", str(budget),
+                "--seeds", "1", "--out", str(tmp_path / "run")]
+        assert main(args) == 0
+        capsys.readouterr()
+        # Each two-step update needs one pass for its second epoch and one
+        # for the confidence check; a buffer change costs one more.
+        assert budget <= forward_calls["forward"] <= 1.1 * budget
 
 
 class TestSearchReport:
