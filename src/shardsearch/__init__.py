@@ -6,7 +6,7 @@ shard axes. See the README for the command-line entry points.
 """
 
 from .env import EvalRecord, RewardConfig, SearchEnv
-from .model import HardwareSpec, ModelSpec, count_parameters
+from .model import HardwareSpec, ModelSpec
 from .policy import EliteBuffer, PolicyNetwork, build_observation
 from .simulator import SimRequest, SimResult, simulate
 from .strategy import (
@@ -15,6 +15,7 @@ from .strategy import (
     FusedOpDescriptor,
     Strategy,
     canonical_fused_ops,
+    count_parameters,
     decode_strategy,
     encode_strategy,
     megatron_fine_dims,

@@ -424,7 +424,7 @@ def _check_compatible(runs: Sequence[_RunDir]) -> None:
 
 def _searcher_settings(run: _RunDir) -> dict:
     """The config section of the run's searcher, ``ppo`` without its budget
-    (``--budget`` overrides it, and a row checks budgets on its own)."""
+    (``--budget`` overrides it, and budgets are checked on their own)."""
     if run.algorithm == "ppo":
         return {**dataclasses.asdict(run.cfg.ppo), "budget": None}
     if run.algorithm == "sa":
@@ -437,14 +437,19 @@ def _comparison_table(runs: Sequence[_RunDir]) -> list[dict]:
     merged: dict[tuple[str, str], list[_SeedRun]] = {}
     first_in_row: dict[tuple[str, str], _RunDir] = {}
     found_in: dict[tuple[str, str, int | None], _RunDir] = {}
+    seeded: dict[str, _RunDir] = {}
     for run in runs:
         key = (run.workload, run.algorithm)
         first = first_in_row.setdefault(key, run)
-        if first.budget != run.budget:
-            raise CliError(
-                f"{run.algorithm} on {run.workload} ran with budget {first.budget} in "
-                f"{first.path} but {run.budget} in {run.path}; refusing to average them"
-            )
+        # The seed-free sweep's budget is its grid; the seeded runs of one
+        # workload are compared at one budget.
+        if run.algorithm != "exhaustive":
+            other = seeded.setdefault(run.workload, run)
+            if other.budget != run.budget:
+                raise CliError(
+                    f"seeded runs on {run.workload} ran with budget {other.budget} in "
+                    f"{other.path} but {run.budget} in {run.path}; refusing to compare them"
+                )
         if _searcher_settings(first) != _searcher_settings(run):
             raise CliError(
                 f"{run.algorithm} on {run.workload} ran with different "

@@ -107,11 +107,6 @@ class ModelSpec:
                 f"({self.experts_per_token} > {self.num_experts})"
             )
 
-    @property
-    def qkv_out_dim(self) -> int:
-        """Fused QKV projection output width (Q heads plus K and V heads)."""
-        return (self.num_heads + 2 * self.num_kv_heads) * self.head_dim
-
 
 @dataclass(frozen=True)
 class HardwareSpec:
@@ -138,56 +133,3 @@ class HardwareSpec:
         check_fields(
             "hardware", self, non_negative=("kernel_overhead", "per_collective_latency")
         )
-
-
-@dataclass(frozen=True)
-class ParameterCount:
-    """Weight-count breakdown in parameters (not bytes)."""
-
-    embedding: int
-    lm_head: int
-    attention: int
-    router: int
-    routed_experts: int
-    shared_expert: int
-    norms: int
-
-    @property
-    def dense(self) -> int:
-        """Parameters replicated across the expert-parallel group."""
-        return (
-            self.embedding
-            + self.lm_head
-            + self.attention
-            + self.router
-            + self.shared_expert
-            + self.norms
-        )
-
-    @property
-    def total(self) -> int:
-        return self.dense + self.routed_experts
-
-
-def count_parameters(model: ModelSpec) -> ParameterCount:
-    """Count weights exactly from the model shapes.
-
-    Attention is one fused QKV matrix plus the output projection per layer.
-    Expert MLPs are two-matrix (no gating third matmul). Norms are one scale
-    and one shift per block plus the final norm, negligible but counted.
-    """
-    h = model.hidden_dim
-    per_layer_attn = h * model.qkv_out_dim + model.num_heads * model.head_dim * h
-    per_layer_router = h * model.num_experts
-    per_expert = 2 * h * model.ffn_dim
-    per_layer_norms = 4 * h  # two norms per block, scale and shift each
-    shared = per_expert if model.has_shared_expert else 0
-    return ParameterCount(
-        embedding=model.vocab_size * h,
-        lm_head=model.vocab_size * h,
-        attention=model.num_layers * per_layer_attn,
-        router=model.num_layers * per_layer_router,
-        routed_experts=model.num_layers * model.num_experts * per_expert,
-        shared_expert=model.num_layers * shared,
-        norms=model.num_layers * per_layer_norms + h,
-    )

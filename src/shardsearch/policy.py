@@ -11,13 +11,13 @@ gradients each run once over the whole table.
 All math is float64 numpy with hand-written backward passes: the network is
 small enough that explicit gradients are simpler than an autodiff dependency,
 and they stay directly checkable against finite differences. Parameters live
-in one contiguous float64 vector (``flat``); ``params`` maps each tensor name
-to a view into it, so the optimizer steps the whole network as one vector
-while the gradient checks still address named tensors. The heads share one
-``width x total-choices`` weight matrix and one bias vector; ``head.{i}.w``
-and ``head.{i}.b`` are column views into that matrix and slices of that
-bias. Gradients use the same layout: ``backward`` writes into views of one
-flat gradient vector that each policy owns.
+in one contiguous float64 vector (``flat``); ``params`` maps each stored
+tensor's name to its view, so the optimizer steps the whole network as one
+vector while the gradient checks still address named tensors. The heads
+share one ``width x total-choices`` weight matrix ``head.w`` and one bias
+vector ``head.b``; head ``i`` owns a run of their columns. Gradients use the
+same layout: ``backward`` writes into ``grads``, views of one flat gradient
+vector that each policy owns.
 
 Design notes:
   * No positional signal on the elite rows. Rank is already implied by the
@@ -82,19 +82,9 @@ class EliteBuffer:
         self.capacity = int(capacity)
         self._entries: list[Elite] = []
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def entries(self) -> tuple[Elite, ...]:
         return tuple(self._entries)
-
-    @property
-    def min_reward(self) -> float:
-        """Reward of the worst retained elite; -inf while not full."""
-        if len(self._entries) < self.capacity:
-            return float("-inf")
-        return self._entries[-1].reward
 
     def offer(self, vector: Sequence[int], reward: float) -> bool:
         """Insert if the buffer has room or ``reward`` beats the worst entry.
@@ -182,19 +172,13 @@ class PolicyOutput:
 
     ``logits``, ``probs`` and ``log_probs`` are (heads x widest head)
     tables; masked cells hold ``MASKED_LOGIT`` and probability 0. Row ``i``
-    scores head ``i``. ``log_probs`` is derived from ``logits`` when not
-    given, so a hand-built output samples exactly like one from ``forward``.
+    scores head ``i``.
     """
 
     logits: np.ndarray
     probs: np.ndarray
+    log_probs: np.ndarray
     value: float
-    pooled: np.ndarray
-    log_probs: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.log_probs is None:
-            object.__setattr__(self, "log_probs", log_softmax_rows(self.logits)[0])
 
     def logprob(self, action: Sequence[int]) -> float:
         """Joint log-probability of ``action``, one choice per head."""
@@ -267,7 +251,6 @@ class PolicyNetwork:
         # matrix columns and the first sizes[i] cells of table row i.
         sizes = np.asarray(self.head_sizes)
         starts = np.cumsum(sizes) - sizes
-        self._head_spans = tuple(zip(starts.tolist(), (starts + sizes).tolist()))
         columns = np.arange(self.mask.shape[1])
         inside = columns < sizes[:, None]
         self._choice_of_cell = np.where(inside, starts[:, None] + columns, 0)
@@ -280,12 +263,10 @@ class PolicyNetwork:
             self._layout.append((name, offset, offset + tensor.size, tensor.shape))
             offset += tensor.size
         self.flat = np.concatenate([t.ravel() for t in tensors.values()])
-        self._param_blocks = self._blocks(self.flat)
-        self.params: Mapping[str, np.ndarray] = self._named(self._param_blocks)
+        self.params = self._views(self.flat)
         # ``backward`` writes here; its views are built once.
         self.grad = np.empty_like(self.flat)
-        self._grad_blocks = self._blocks(self.grad)
-        self.grads: Mapping[str, np.ndarray] = self._named(self._grad_blocks)
+        self.grads = self._views(self.grad)
 
     # -- parameters ---------------------------------------------------------
 
@@ -327,24 +308,12 @@ class PolicyNetwork:
             "value.b2": np.zeros(1),
         }
 
-    def _blocks(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of ``vector`` per stored tensor, the head table whole."""
-        return {
+    def _views(self, vector: np.ndarray) -> Mapping[str, np.ndarray]:
+        """Name -> view of ``vector``, one per stored tensor."""
+        return MappingProxyType({
             name: vector[start:stop].reshape(shape)
             for name, start, stop, shape in self._layout
-        }
-
-    def _named(self, blocks: Mapping[str, np.ndarray]) -> Mapping[str, np.ndarray]:
-        """Public name -> view map: the head table split into its heads."""
-        named = {}
-        for name, block in blocks.items():
-            if name == "head.w":
-                for i, (lo, hi) in enumerate(self._head_spans):
-                    named[f"head.{i}.w"] = block[:, lo:hi]
-                    named[f"head.{i}.b"] = blocks["head.b"][lo:hi]
-            elif name != "head.b":
-                named[name] = block
-        return MappingProxyType(named)
+        })
 
     def check_finite(self) -> None:
         """Raise NumericsError if any parameter went non-finite.
@@ -368,7 +337,7 @@ class PolicyNetwork:
                 f"observation shape {x.shape} != "
                 f"({self.history_len}, {self.space.vector_length})"
             )
-        p = self._param_blocks
+        p = self.params
         embedded = x @ p["embed.w"] + p["embed.b"]
         q = embedded @ p["attn.wq"] + p["attn.bq"]
         k = embedded @ p["attn.wk"] + p["attn.bk"]
@@ -423,17 +392,8 @@ class PolicyNetwork:
             "value_pre": value_pre,
             "value_act": value_act,
         }
-        out = PolicyOutput(
-            logits=logits,
-            probs=probs,
-            value=value,
-            pooled=pooled,
-            log_probs=log_probs,
-        )
+        out = PolicyOutput(logits=logits, probs=probs, log_probs=log_probs, value=value)
         return out, cache
-
-    def forward(self, obs: np.ndarray) -> PolicyOutput:
-        return self.forward_cached(obs)[0]
 
     # -- backward -----------------------------------------------------------
 
@@ -453,8 +413,8 @@ class PolicyNetwork:
         Returns ``grads``, the named views into ``grad``, keyed exactly like
         ``params``; the next call overwrites them.
         """
-        p = self._param_blocks
-        grads = self._grad_blocks
+        p = self.params
+        grads = self.grads
         rows = float(self.history_len)
         pooled = cache["pooled"]
 
@@ -539,8 +499,8 @@ class PolicyNetwork:
 
     def sample(
         self, out: PolicyOutput, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], float, float]:
-        """Draw one sub-action per head; returns (action, logprob, entropy).
+    ) -> tuple[tuple[int, ...], float]:
+        """Draw one sub-action per head; returns (action, logprob).
 
         One uniform per head, in head order, scaled by the head's total
         mass, picks the first choice whose cumulative mass exceeds it
@@ -551,15 +511,7 @@ class PolicyNetwork:
         draws = rng.random(len(self.head_sizes)) * cumulative[:, -1]
         picks = np.count_nonzero(cumulative <= draws[:, None], axis=-1)
         action = tuple(np.minimum(picks, self._last_choice).tolist())
-        return (action, *self.action_logprob_entropy(out, action))
-
-    def action_logprob_entropy(
-        self, out: PolicyOutput, action: Sequence[int]
-    ) -> tuple[float, float]:
-        """Joint log-probability of ``action`` plus total head entropy."""
-        if len(action) != len(out.logits):
-            raise ValueError("action length does not match head count")
-        return out.logprob(action), left_sum(out.head_entropies())
+        return action, out.logprob(action)
 
 
 def confidence(out: PolicyOutput) -> np.ndarray:

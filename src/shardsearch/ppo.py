@@ -290,7 +290,7 @@ def collect(
             obs = build_observation(buf, policy.space)
             current = (obs, *policy.forward_cached(obs))
         obs, out, cache = current
-        action, logprob, _ = policy.sample(out, rng)
+        action, logprob = policy.sample(out, rng)
         reward, _, valid = env.step(action)
         if valid and buf.offer(action, reward):
             current = None

@@ -42,8 +42,15 @@ from .layout import (
     PlanStep,
     plan_layer,
 )
-from .model import HardwareSpec, ModelSpec, check_fields, count_parameters
-from .strategy import AxisChoice, CostKind, FusedOpDescriptor, Strategy, canonical_fused_ops
+from .model import HardwareSpec, ModelSpec, check_fields
+from .strategy import (
+    AxisChoice,
+    CostKind,
+    FusedOpDescriptor,
+    Strategy,
+    canonical_fused_ops,
+    count_parameters,
+)
 
 
 class InvalidReason(str, Enum):
@@ -85,10 +92,11 @@ class TimeBreakdown:
 class SimResult:
     valid: bool
     invalid_reason: InvalidReason
-    throughput: float  # tokens/s/chip, the raw objective; 0 when invalid
-    tpot_s: float
-    memory_bytes: float
-    breakdown: TimeBreakdown
+    # Fields a gate stops before keep their defaults.
+    throughput: float = 0.0  # tokens/s/chip, the raw objective; 0 when invalid
+    tpot_s: float = 0.0
+    memory_bytes: float = 0.0
+    breakdown: TimeBreakdown = TimeBreakdown(0.0, 0.0, 0.0)
     detail: str = ""
     # The per-layer plan that was priced; None when a gate stopped the
     # strategy before pricing.
@@ -242,24 +250,11 @@ def simulate(req: SimRequest) -> SimResult:
     invalid_reason is deterministic: device budget, layout, memory, then SLO.
     """
     model, hw, s = req.model, req.hw, req.strategy
-    zero = TimeBreakdown(0.0, 0.0, 0.0)
-
-    def invalid(reason: InvalidReason, detail: str = "", **kw) -> SimResult:
+    if s.world_size > hw.device_budget:
         return SimResult(
             valid=False,
-            invalid_reason=reason,
-            throughput=0.0,
-            tpot_s=kw.get("tpot", 0.0),
-            memory_bytes=kw.get("memory", 0.0),
-            breakdown=kw.get("breakdown", zero),
-            detail=detail,
-            layer_plan=kw.get("layer_plan"),
-        )
-
-    if s.world_size > hw.device_budget:
-        return invalid(
-            InvalidReason.OVER_DEVICE_BUDGET,
-            f"needs {s.world_size} devices, budget is {hw.device_budget}",
+            invalid_reason=InvalidReason.OVER_DEVICE_BUDGET,
+            detail=f"needs {s.world_size} devices, budget is {hw.device_budget}",
         )
 
     pre_ops, layer_ops, post_ops = _segments(model)
@@ -272,14 +267,17 @@ def simulate(req: SimRequest) -> SimResult:
         pre_plan = plan_layer(model, pre_ops, s, s.batch, hw.node_size)
         post_plan = plan_layer(model, post_ops, s, s.batch, hw.node_size)
     except LayoutError as err:
-        return invalid(InvalidReason.LAYOUT_ERROR, str(err))
+        return SimResult(
+            valid=False, invalid_reason=InvalidReason.LAYOUT_ERROR, detail=str(err)
+        )
 
     memory = memory_per_device(model, s, req.context_len, s.batch)
     if memory > hw.hbm_capacity:
-        return invalid(
-            InvalidReason.OOM,
-            f"needs {memory / 1e9:.2f} GB, capacity is {hw.hbm_capacity / 1e9:.2f} GB",
-            memory=memory,
+        return SimResult(
+            valid=False,
+            invalid_reason=InvalidReason.OOM,
+            memory_bytes=memory,
+            detail=f"needs {memory / 1e9:.2f} GB, capacity is {hw.hbm_capacity / 1e9:.2f} GB",
         )
 
     layers_per_stage = model.num_layers // s.pp
@@ -322,12 +320,13 @@ def simulate(req: SimRequest) -> SimResult:
     throughput = s.batch / max_cycle / s.world_size
 
     if tpot > req.slo_tpot:
-        return invalid(
-            InvalidReason.SLO_VIOLATION,
-            f"tpot {tpot * 1e3:.2f} ms exceeds SLO {req.slo_tpot * 1e3:.2f} ms",
-            tpot=tpot,
-            memory=memory,
+        return SimResult(
+            valid=False,
+            invalid_reason=InvalidReason.SLO_VIOLATION,
+            tpot_s=tpot,
+            memory_bytes=memory,
             breakdown=breakdown,
+            detail=f"tpot {tpot * 1e3:.2f} ms exceeds SLO {req.slo_tpot * 1e3:.2f} ms",
             layer_plan=layer_plan,
         )
 

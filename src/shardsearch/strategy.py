@@ -2,7 +2,8 @@
 
 The operator table (``canonical_fused_ops``) holds every per-operator fact
 in one row: layout class, cost kind, feature widths, the extent of each
-admissible shard axis and the Megatron reference axis.
+admissible shard axis and the Megatron reference axis. The model's weight
+count (``count_parameters``) is summed from it.
 
 A deployment strategy is the tuple (tp, ep, pp, batch) together with one
 shard-axis choice per fused operator. Strategies round-trip losslessly
@@ -124,7 +125,7 @@ def canonical_fused_ops(model: ModelSpec) -> tuple[FusedOpDescriptor, ...]:
     """
     width = {
         "h": model.hidden_dim,
-        "qkv": model.qkv_out_dim,
+        "qkv": (model.num_heads + 2 * model.num_kv_heads) * model.head_dim,
         "attn": model.num_heads * model.head_dim,
         "heads": model.num_heads,
         "experts": model.num_experts,
@@ -145,6 +146,44 @@ def canonical_fused_ops(model: ModelSpec) -> tuple[FusedOpDescriptor, ...]:
         )
         for name, op_class, cost, per_layer, w_in, w_out, extents, megatron in rows
     )
+
+
+@dataclass(frozen=True)
+class ParameterCount:
+    """Weight count in parameters (not bytes)."""
+
+    dense: int  # replicated across the expert-parallel group
+    routed_experts: int
+
+    @property
+    def total(self) -> int:
+        return self.dense + self.routed_experts
+
+
+@functools.cache
+def count_parameters(model: ModelSpec) -> ParameterCount:
+    """Weights of ``model`` summed over its operator table, counted once.
+
+    MATMUL and LOOKUP rows hold one [in, out] matrix, EXPERT_MATMUL rows one
+    per routed expert and the NORM row a scale per feature; per-layer rows
+    count once per layer. The two norms of each layer, a scale and a shift
+    each, are not in the decode graph and are added on top.
+    """
+    dense = routed = 0
+    for op in canonical_fused_ops(model):
+        if op.cost is CostKind.NORM:
+            size = op.out_features
+        elif op.cost in (CostKind.MATMUL, CostKind.LOOKUP, CostKind.EXPERT_MATMUL):
+            size = op.in_features * op.out_features
+        else:
+            continue  # KV cache traffic and attention scores hold no weights
+        if op.per_layer:
+            size *= model.num_layers
+        if op.cost is CostKind.EXPERT_MATMUL:
+            routed += size * model.num_experts
+        else:
+            dense += size
+    return ParameterCount(dense + 4 * model.hidden_dim * model.num_layers, routed)
 
 
 # Power-of-two degree ladders. Batch extends to 1024 because decode

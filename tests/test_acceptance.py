@@ -242,8 +242,8 @@ def test_gradients_collective_costs_breakdown_and_codec_are_exact(tiny_cfg):
     samples = []
     for advantage in (0.8, -0.5):
         obs = rng.random((3, space.vector_length))
-        out = policy.forward(obs)
-        action, logprob, _ = policy.sample(out, rng)
+        out = policy.forward_cached(obs)[0]
+        action, logprob = policy.sample(out, rng)
         samples.append(
             RolloutSample(
                 obs=obs,
@@ -343,10 +343,11 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
         )
 
     def one_hot(policy, action):
-        for i, (k, idx) in enumerate(zip(policy.head_sizes, action)):
-            bias = np.full(k, -50.0)
-            bias[idx] = 50.0
-            policy.params[f"head.{i}.b"][...] = bias
+        start = 0
+        for k, idx in zip(policy.head_sizes, action):
+            policy.params["head.b"][start : start + k] = -50.0
+            policy.params["head.b"][start + idx] = 50.0
+            start += k
 
     # Early exit fires when every head is confident...
     env = make_env(tiny_cfg, 8)
@@ -362,7 +363,7 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
     env = make_env(tiny_cfg, 8)
     policy = fresh_policy(2)
     one_hot(policy, (0,) * len(policy.head_sizes))
-    policy.params["head.0.b"][...] = np.zeros(len(space.tp_domain))
+    policy.params["head.b"][: len(space.tp_domain)] = 0.0
     outcome = run_chunk(
         env, policy, EliteBuffer(3), allowance=8, cfg=chunk_cfg,
         rng=np.random.default_rng(3),

@@ -551,6 +551,19 @@ class TestReport:
         assert out == ""
         assert f"budget 20 in {a} but 40 in {b}" in err
 
+    def test_seeded_rows_of_one_workload_share_one_budget(self, tmp_path, capsys):
+        # normalized_over_rw divides by the rw mean, so that mean must be
+        # taken at the same budget as the row it normalizes.
+        ppo = make_run(tmp_path, capsys, "ppo", "ppo", budget="100", seeds="2")
+        rw = make_run(tmp_path, capsys, "rw", "rw", budget="20", seeds="2")
+        code, out, err = run_cli(["report", str(ppo), str(rw)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"budget 100 in {ppo} but 20 in {rw}" in err
+        # The seed-free sweep's budget is its grid, so it joins any budget.
+        ex = make_run(tmp_path, capsys, "exhaustive", "ex")
+        assert run_cli(["report", str(rw), str(ex)], capsys)[0] == 0
+
     def test_missing_run_directory_is_a_tool_error(self, tmp_path, capsys):
         code, _, err = run_cli(["report", str(tmp_path / "nothing")], capsys)
         assert code == 1

@@ -17,10 +17,10 @@ from shardsearch.config import (
     resolve_config_path,
 )
 from shardsearch.env import RewardConfig
-from shardsearch.model import HardwareSpec, ModelSpec, count_parameters
+from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.ppo import PpoConfig
 from shardsearch.simulator import SimRequest
-from shardsearch.strategy import AxisChoice, Strategy
+from shardsearch.strategy import AxisChoice, Strategy, count_parameters
 
 
 # Every float field of the learner, reward and annealing sections.

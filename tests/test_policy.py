@@ -19,6 +19,8 @@ from shardsearch.policy import (
     build_observation,
     confidence,
     head_masks,
+    left_sum,
+    log_softmax_rows,
 )
 from shardsearch.strategy import (
     ActionSpaceSpec,
@@ -67,7 +69,7 @@ class TestEliteBuffer:
     def test_empty_buffer_accepts_any_entry(self):
         buf = EliteBuffer(capacity=3)
         assert buf.offer((0, 0, 0), -5.0) is True
-        assert len(buf) == 1
+        assert len(buf.entries) == 1
 
     def test_full_buffer_evicts_minimum(self):
         buf = EliteBuffer(capacity=3)
@@ -96,7 +98,7 @@ class TestEliteBuffer:
         buf = EliteBuffer(capacity=3)
         buf.offer((1, 2), 5.0)
         assert buf.offer((1, 2), 50.0) is False
-        assert len(buf) == 1
+        assert len(buf.entries) == 1
         assert buf.entries[0].reward == 5.0
 
     def test_sorted_best_first_regardless_of_insert_order(self):
@@ -105,13 +107,12 @@ class TestEliteBuffer:
             buf.offer(vec, reward)
         assert [e.reward for e in buf.entries] == [9.0, 7.0, 5.0]
 
-    def test_min_reward_is_minus_inf_until_full(self):
+    def test_any_reward_is_taken_until_full(self):
         buf = EliteBuffer(capacity=2)
-        assert buf.min_reward == float("-inf")
-        buf.offer((1,), 3.0)
-        assert buf.min_reward == float("-inf")
-        buf.offer((2,), 1.0)
-        assert buf.min_reward == 1.0
+        assert buf.offer((1,), 3.0) is True
+        assert buf.offer((2,), -1e9) is True
+        assert buf.offer((3,), -1e9) is False
+        assert [e.reward for e in buf.entries] == [3.0, -1e9]
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -136,12 +137,14 @@ class TestEliteBuffer:
         for key, reward in offers:
             buf.offer((key,), reward)
             rewards = [e.reward for e in buf.entries]
-            assert len(buf) <= 3
+            assert len(rewards) <= 3
             assert rewards == sorted(rewards, reverse=True)
             vectors = [e.vector for e in buf.entries]
             assert len(set(vectors)) == len(vectors)
-            assert buf.min_reward >= prev_min
-            prev_min = buf.min_reward
+            # The worst retained reward, -inf while the buffer is not full.
+            floor = rewards[-1] if len(rewards) == 3 else float("-inf")
+            assert floor >= prev_min
+            prev_min = floor
 
 
 class TestBuildObservation:
@@ -211,7 +214,7 @@ class TestHeadMasks:
 class TestForward:
     def test_fresh_policy_is_uniform_over_admissible_choices(self):
         policy = toy_policy()
-        out = policy.forward(np.zeros((3, 7)))
+        out = policy.forward_cached(np.zeros((3, 7)))[0]
         np.testing.assert_allclose(out.probs[0], [0.5, 0.5, 0.0])
         np.testing.assert_allclose(out.probs[2], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(out.probs[3], [1 / 3] * 3)
@@ -223,8 +226,8 @@ class TestForward:
     def test_forward_is_deterministic(self):
         policy = toy_policy(seed=3)
         obs = np.random.default_rng(1).random((3, 7))
-        a = policy.forward(obs)
-        b = policy.forward(obs)
+        a = policy.forward_cached(obs)[0]
+        b = policy.forward_cached(obs)[0]
         for la, lb in zip(a.logits, b.logits):
             np.testing.assert_array_equal(la, lb)
         assert a.value == b.value
@@ -233,9 +236,9 @@ class TestForward:
         policy = toy_policy(seed=5)
         rng = np.random.default_rng(2)
         obs = rng.random((3, 7))
-        base = policy.forward(obs)
+        base = policy.forward_cached(obs)[0]
         for perm in ((1, 2, 0), (2, 1, 0), (0, 2, 1)):
-            permuted = policy.forward(obs[list(perm)])
+            permuted = policy.forward_cached(obs[list(perm)])[0]
             for la, lb in zip(base.logits, permuted.logits):
                 np.testing.assert_allclose(la, lb, atol=1e-10)
             assert permuted.value == pytest.approx(base.value, abs=1e-10)
@@ -251,13 +254,13 @@ class TestForward:
                         scale=0.5, size=policy.params[name].shape
                     )
             obs = rng.random((3, 7))
-            out = policy.forward(obs)
+            out = policy.forward_cached(obs)[0]
             for probs in out.probs:
                 assert abs(float(np.sum(probs)) - 1.0) <= 1e-6
 
     def test_masked_entries_have_zero_probability(self):
         policy = toy_policy()
-        out = policy.forward(np.zeros((3, 7)))
+        out = policy.forward_cached(np.zeros((3, 7)))[0]
         assert out.logits[5][1] == MASKED_LOGIT
         assert out.probs[5][1] == 0.0
         assert out.probs[6][1] == 0.0 and out.probs[6][2] == 0.0
@@ -269,14 +272,14 @@ class TestForward:
         policy = toy_policy()
         policy.params["ffn.w1"][0, 0] = np.nan
         with pytest.raises(NumericsError):
-            policy.forward(np.zeros((3, 7)))
+            policy.forward_cached(np.zeros((3, 7)))
         with pytest.raises(NumericsError):
             policy.check_finite()
 
     def test_wrong_observation_shape_rejected(self):
         policy = toy_policy()
         with pytest.raises(ValueError, match="shape"):
-            policy.forward(np.zeros((2, 7)))
+            policy.forward_cached(np.zeros((2, 7)))
 
     def test_parameter_count_matches_hand_total(self):
         policy = toy_policy(width=8)
@@ -292,6 +295,27 @@ class TestForward:
         )
         assert policy.flat.size == expected
 
+    def test_params_and_grads_tile_the_stored_vectors_once(self):
+        policy = toy_policy()
+        names = [
+            "embed.w", "embed.b",
+            "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+            "attn.wv", "attn.bv", "attn.wo", "attn.bo",
+            "ln1.g", "ln1.b",
+            "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+            "ln2.g", "ln2.b",
+            "head.w", "head.b",
+            "value.w1", "value.b1", "value.w2", "value.b2",
+        ]
+        choices = sum(policy.head_sizes)
+        assert policy.params["head.w"].shape == (8, choices)
+        assert policy.params["head.b"].shape == (choices,)
+        for views, vector in ((policy.params, policy.flat), (policy.grads, policy.grad)):
+            assert list(views) == names
+            for i in range(vector.size):
+                owners = [n for n, v in views.items() if np.shares_memory(v, vector[i : i + 1])]
+                assert len(owners) == 1, (i, owners)
+
 
 class TestSample:
     def test_one_hot_logits_sample_deterministically(self):
@@ -301,12 +325,13 @@ class TestSample:
         logits = np.where(policy.mask, head, MASKED_LOGIT)
         exp = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = exp / exp.sum(axis=1, keepdims=True)
-        out = PolicyOutput(logits=logits, probs=probs, value=0.0, pooled=np.zeros(8))
+        out = PolicyOutput(logits, probs, log_softmax_rows(logits)[0], 0.0)
+        assert left_sum(out.head_entropies()) < 1e-8
         rng = np.random.default_rng(0)
         for _ in range(20):
-            action, _, entropy = policy.sample(out, rng)
+            action, logprob = policy.sample(out, rng)
             assert action == (0,) * 7
-            assert entropy < 1e-8
+            assert logprob > -1e-8
 
     def test_uniform_head_frequencies_within_two_percent(self):
         policy = toy_policy()
@@ -347,7 +372,7 @@ class TestSample:
             weights = data.draw(st.lists(weight, min_size=k, max_size=k).filter(any))
             probs[row, :k] = np.asarray(weights) / np.sum(weights)
         logits = np.log(probs, where=probs > 0, out=np.full(probs.shape, MASKED_LOGIT))
-        out = PolicyOutput(logits=logits, probs=probs, value=0.0, pooled=np.zeros(2))
+        out = PolicyOutput(logits, probs, log_softmax_rows(logits)[0], 0.0)
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         action = policy.sample(out, rng)[0]
@@ -361,37 +386,29 @@ class TestSample:
         for name in policy.params:
             if name.startswith("head."):
                 policy.params[name][...] = rng.normal(scale=0.3, size=policy.params[name].shape)
-        out = policy.forward(rng.random((3, 7)))
-        action, logprob, entropy = policy.sample(out, np.random.default_rng(9))
+        out = policy.forward_cached(rng.random((3, 7)))[0]
+        action, logprob = policy.sample(out, np.random.default_rng(9))
         expected = 0.0
         for head, idx in zip(out.logits, action):
             shifted = head - head.max()
             expected += float(shifted[idx] - np.log(np.exp(shifted).sum()))
         assert logprob == pytest.approx(expected, rel=1e-12)
-        relogprob, reentropy = policy.action_logprob_entropy(out, action)
-        assert relogprob == pytest.approx(logprob, rel=1e-12)
-        assert reentropy == pytest.approx(entropy, rel=1e-12)
+        assert out.logprob(action) == logprob
 
     def test_same_seed_same_action_sequence(self):
         policy = toy_policy(seed=2)
         obs = np.random.default_rng(5).random((3, 7))
-        out = policy.forward(obs)
+        out = policy.forward_cached(obs)[0]
         first = [policy.sample(out, np.random.default_rng(42))[0] for _ in range(5)]
         second = [policy.sample(out, np.random.default_rng(42))[0] for _ in range(5)]
         assert first == second
-
-    def test_action_length_validated(self):
-        policy = toy_policy()
-        out = policy.forward(np.zeros((3, 7)))
-        with pytest.raises(ValueError):
-            policy.action_logprob_entropy(out, (0, 0))
 
 
 def admissible_uniform_output(policy):
     """A hand-built output, uniform over each head's admissible choices."""
     logits = np.where(policy.mask, 0.0, MASKED_LOGIT)
     probs = policy.mask / policy.mask.sum(axis=1, keepdims=True)
-    return PolicyOutput(logits=logits, probs=probs, value=0.0, pooled=np.zeros(policy.width))
+    return PolicyOutput(logits, probs, log_softmax_rows(logits)[0], 0.0)
 
 
 def reference_sample(heads, rng):
@@ -408,43 +425,33 @@ def reference_sample(heads, rng):
 class TestConfidence:
     def test_uniform_logits_give_one_over_k(self):
         policy = toy_policy()
-        out = policy.forward(np.zeros((3, 7)))
+        out = policy.forward_cached(np.zeros((3, 7)))[0]
         cs = confidence(out)
         assert cs[0] == pytest.approx(0.5)
         assert cs[3] == pytest.approx(1.0 / 3.0)
 
     def test_single_choice_heads_are_fully_confident(self):
         policy = toy_policy()
-        out = policy.forward(np.zeros((3, 7)))
+        out = policy.forward_cached(np.zeros((3, 7)))[0]
         assert cs_of(out, 2) == 1.0  # pp domain has one value
         assert cs_of(out, 6) == 1.0  # unsharded-only op
 
     def test_two_zero_logits_hand_case(self):
         probs = np.array([np.exp(2.0), 1.0])
         probs /= probs.sum()
-        out = PolicyOutput(
-            logits=np.array([[2.0, 0.0]]),
-            probs=probs[None, :],
-            value=0.0,
-            pooled=np.zeros(1),
-        )
+        out = PolicyOutput(np.array([[2.0, 0.0]]), probs[None, :], np.log(probs)[None, :], 0.0)
         assert confidence(out)[0] == pytest.approx(SOFTMAX_2_0_MAX, rel=1e-12)
 
     def test_one_hot_confidence_saturates(self):
-        probs = np.array([1.0, 0.0, 0.0])
-        out = PolicyOutput(
-            logits=np.array([[40.0, -40.0, -40.0]]),
-            probs=probs[None, :],
-            value=0.0,
-            pooled=np.zeros(1),
-        )
+        logits = np.array([[40.0, -40.0, -40.0]])
+        out = PolicyOutput(logits, np.array([[1.0, 0.0, 0.0]]), log_softmax_rows(logits)[0], 0.0)
         assert confidence(out)[0] == pytest.approx(1.0)
 
     def test_confidence_bounded_by_one(self):
         for seed in range(5):
             policy = toy_policy(seed=seed)
             obs = np.random.default_rng(seed).random((3, 7))
-            cs = confidence(policy.forward(obs))
+            cs = confidence(policy.forward_cached(obs)[0])
             assert np.all(cs > 0.0) and np.all(cs <= 1.0)
 
 
@@ -468,7 +475,7 @@ class TestGradients:
 
     @staticmethod
     def scalar_loss(policy, obs, coeffs, value_coeff):
-        out = policy.forward(obs)
+        out = policy.forward_cached(obs)[0]
         total = value_coeff * out.value
         for c, logits, mask in zip(coeffs, out.logits, policy.mask):
             total += float(np.sum(np.where(mask, c * logits, 0.0)))
@@ -512,5 +519,7 @@ class TestGradients:
         d_logits = np.ones(policy.mask.shape)
         grads = policy.backward(cache, d_logits, 0.0)
         # Head 6 admits only choice 0; its masked columns must not move.
-        assert np.all(grads["head.6.w"][:, 1:] == 0.0)
-        assert np.all(grads["head.6.b"][1:] == 0.0)
+        start = sum(policy.head_sizes[:6])
+        masked = slice(start + 1, start + policy.head_sizes[6])
+        assert np.all(grads["head.w"][:, masked] == 0.0)
+        assert np.all(grads["head.b"][masked] == 0.0)

@@ -116,10 +116,11 @@ def small_cfg(**overrides):
 
 def force_one_hot(policy, action):
     """Pin every head to one choice via dominating bias logits."""
-    for i, (k, idx) in enumerate(zip(policy.head_sizes, action)):
-        bias = np.full(k, -50.0)
-        bias[idx] = 50.0
-        policy.params[f"head.{i}.b"][...] = bias
+    start = 0
+    for k, idx in zip(policy.head_sizes, action):
+        policy.params["head.b"][start : start + k] = -50.0
+        policy.params["head.b"][start + idx] = 50.0
+        start += k
 
 
 @pytest.fixture
@@ -364,7 +365,7 @@ class TestCollect:
         buf = EliteBuffer(3)
         batch = collect(env, policy, buf, 8, np.random.default_rng(1))
         assert all(s.reward == env.reward_cfg.invalid_penalty for s in batch)
-        assert len(buf) == 0
+        assert buf.entries == ()
 
     def test_frozen_one_hot_policy_repeats_one_strategy(self):
         env = make_env(budget=10)
@@ -417,9 +418,8 @@ class TestCollect:
         buf = EliteBuffer(3)
         batch = collect(env, policy, buf, 4, np.random.default_rng(3))
         for sample in batch:
-            out = policy.forward(sample.obs)
-            logprob, _ = policy.action_logprob_entropy(out, sample.action)
-            assert logprob == pytest.approx(sample.logprob_old, abs=1e-9)
+            out = policy.forward_cached(sample.obs)[0]
+            assert out.logprob(sample.action) == pytest.approx(sample.logprob_old, abs=1e-9)
 
 
 class TestPpoUpdate:
@@ -429,7 +429,6 @@ class TestPpoUpdate:
     def test_reused_forward_equals_fresh_forward(self):
         def arrays(out, cache):
             yield from (out.logits, out.probs, out.log_probs)
-            yield out.pooled
             yield np.array(out.value)
             for entry in cache.values():
                 yield from entry if isinstance(entry, tuple) else (entry,)
@@ -459,8 +458,8 @@ class TestPpoUpdate:
         shared, other = rng.random((3, 16)), rng.random((3, 16))
         batch = []
         for obs in (shared, other, shared):
-            out = policy.forward(obs)
-            action, logprob, _ = policy.sample(out, rng)
+            out = policy.forward_cached(obs)[0]
+            action, logprob = policy.sample(out, rng)
             batch.append(
                 RolloutSample(
                     obs=obs,
@@ -519,8 +518,8 @@ class TestPpoUpdate:
     def test_zero_advantage_zero_value_error_moves_nothing(self):
         policy = make_policy(seed=5)
         obs = np.zeros((3, 16))
-        out = policy.forward(obs)
-        action, logprob, _ = policy.sample(out, np.random.default_rng(0))
+        out = policy.forward_cached(obs)[0]
+        action, logprob = policy.sample(out, np.random.default_rng(0))
         sample = RolloutSample(
             obs=obs,
             action=action,
@@ -539,8 +538,8 @@ class TestPpoUpdate:
     def test_positive_advantage_raises_action_probability(self):
         policy = make_policy(seed=6)
         obs = np.zeros((3, 16))
-        out = policy.forward(obs)
-        action, logprob, _ = policy.sample(out, np.random.default_rng(1))
+        out = policy.forward_cached(obs)[0]
+        action, logprob = policy.sample(out, np.random.default_rng(1))
         sample = RolloutSample(
             obs=obs,
             action=action,
@@ -550,9 +549,9 @@ class TestPpoUpdate:
         )
         cfg = small_cfg(entropy_coef=0.0)
         optimizer = Adam(policy.flat)
-        before, _ = policy.action_logprob_entropy(out, action)
+        before = out.logprob(action)
         ppo_update(policy, (sample,), cfg, lr=1e-3, optimizer=optimizer)
-        after, _ = policy.action_logprob_entropy(policy.forward(obs), action)
+        after = policy.forward_cached(obs)[0].logprob(action)
         assert after > before
 
     def test_two_epochs_applied(self):
@@ -578,8 +577,8 @@ class TestPpoUpdate:
         samples = []
         for advantage in (0.7, -0.4):
             obs = rng.random((3, 16))
-            out = policy.forward(obs)
-            action, logprob, _ = policy.sample(out, rng)
+            out = policy.forward_cached(obs)[0]
+            action, logprob = policy.sample(out, rng)
             samples.append(
                 RolloutSample(
                     obs=obs,
@@ -614,8 +613,8 @@ class TestPpoUpdate:
     def test_non_finite_loss_aborts(self):
         policy = make_policy(seed=10)
         obs = np.zeros((3, 16))
-        out = policy.forward(obs)
-        action, logprob, _ = policy.sample(out, np.random.default_rng(2))
+        out = policy.forward_cached(obs)[0]
+        action, logprob = policy.sample(out, np.random.default_rng(2))
         sample = RolloutSample(
             obs=obs,
             action=action,
@@ -663,7 +662,7 @@ class TestRunChunk:
         env = make_env(budget=8)
         policy = make_policy(seed=13)
         force_one_hot(policy, (0,) * 16)
-        policy.params["head.0.b"][...] = np.zeros(3)  # tp head stays uniform
+        policy.params["head.b"][:3] = 0.0  # tp head stays uniform
         outcome = run_chunk(
             env,
             policy,

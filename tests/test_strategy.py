@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardsearch.model import ModelSpec, count_parameters
+from shardsearch.model import ModelSpec
 from shardsearch.strategy import (
     ActionSpaceSpec,
     AxisChoice,
@@ -12,6 +12,7 @@ from shardsearch.strategy import (
     EncodingError,
     Strategy,
     canonical_fused_ops,
+    count_parameters,
     decode_strategy,
     encode_strategy,
     megatron_fine_dims,
@@ -37,6 +38,25 @@ def small_model(**overrides):
     return ModelSpec(**base)
 
 
+def per_family_tally(model):
+    """(dense, routed) weights summed by hand, family by family.
+
+    Attention is one fused QKV matrix plus the output projection per layer;
+    expert MLPs are two matrices; norms are a scale and a shift for each of
+    a layer's two norms plus the final norm's scale.
+    """
+    h, layers = model.hidden_dim, model.num_layers
+    qkv_out = (model.num_heads + 2 * model.num_kv_heads) * model.head_dim
+    embedding = lm_head = model.vocab_size * h
+    attention = layers * (h * qkv_out + model.num_heads * model.head_dim * h)
+    router = layers * h * model.num_experts
+    per_expert = 2 * h * model.ffn_dim
+    shared = layers * per_expert if model.has_shared_expert else 0
+    norms = layers * 4 * h + h
+    routed = layers * model.num_experts * per_expert
+    return embedding + lm_head + attention + router + shared + norms, routed
+
+
 class TestModelSpec:
     def test_head_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="hidden_dim"):
@@ -55,15 +75,35 @@ class TestModelSpec:
         counts = count_parameters(m)
         # Hand tally: embedding and lm_head 4096*256 each; per layer
         # qkv 256*(8+8)*32=131072, out 256*256=65536, router 256*8=2048,
-        # experts 8*2*256*128=524288, shared 2*256*128=65536, norms 4*256.
-        assert counts.embedding == 4096 * 256
-        assert counts.lm_head == 4096 * 256
-        assert counts.attention == 4 * (131072 + 65536)
-        assert counts.router == 4 * 2048
+        # experts 8*2*256*128=524288, shared 2*256*128=65536, norms 4*256;
+        # the final norm 256.
+        assert counts.dense == (
+            2 * 4096 * 256 + 4 * (131072 + 65536 + 2048 + 65536 + 1024) + 256
+        )
         assert counts.routed_experts == 4 * 524288
-        assert counts.shared_expert == 4 * 65536
-        assert counts.norms == 4 * 1024 + 256
         assert counts.total == counts.dense + counts.routed_experts
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_parameter_count_equals_per_family_tally(self, data):
+        num_heads = data.draw(st.integers(1, 64), label="num_heads")
+        head_dim = data.draw(st.integers(1, 256), label="head_dim")
+        divisors = [k for k in range(1, num_heads + 1) if num_heads % k == 0]
+        num_experts = data.draw(st.integers(1, 512), label="num_experts")
+        model = small_model(
+            num_layers=data.draw(st.integers(1, 128), label="num_layers"),
+            hidden_dim=num_heads * head_dim,
+            num_heads=num_heads,
+            head_dim=head_dim,
+            num_kv_heads=data.draw(st.sampled_from(divisors), label="num_kv_heads"),
+            ffn_dim=data.draw(st.integers(1, 65536), label="ffn_dim"),
+            num_experts=num_experts,
+            experts_per_token=data.draw(st.integers(1, num_experts), label="top_k"),
+            has_shared_expert=data.draw(st.booleans(), label="has_shared_expert"),
+            vocab_size=data.draw(st.integers(1, 262144), label="vocab_size"),
+        )
+        counts = count_parameters(model)
+        assert (counts.dense, counts.routed_experts) == per_family_tally(model)
 
     def test_canonical_op_list_has_twelve_ops(self):
         ops = canonical_fused_ops(small_model())
