@@ -285,22 +285,16 @@ def cmd_search(args: argparse.Namespace) -> int:
     }
 
     out_dir = Path(args.out) if args.out else Path("runs") / f"{config_path.stem}-{algo}"
-    if (out_dir / "summary.json").exists():
-        raise CliError(f"refusing to overwrite finished run directory {out_dir}")
-    for name, _ in runs:
-        log = out_dir / name / "evals.ndjson"
-        if log.is_file() and log.stat().st_size > 0:
-            raise CliError(
-                f"refusing to append to {log}: it already holds records "
-                "of another run"
-            )
+    if out_dir.exists() and any(out_dir.iterdir()):
+        raise CliError(f"refusing to write into {out_dir}: it exists and is not empty")
     out_dir.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(config_path, out_dir / "config.yaml")
 
+    # summary.json's rows are the run's manifest; report.json holds the rest.
     rows = []
     for name, seed in runs:
         run_dir = out_dir / name
-        run_dir.mkdir(exist_ok=True)
+        run_dir.mkdir()
         with SearchEnv(
             cfg.model,
             cfg.hardware,
@@ -314,18 +308,10 @@ def cmd_search(args: argparse.Namespace) -> int:
             start = time.perf_counter()
             restarts = searchers[algo](env, seed) or ()
             wall_clock_s = time.perf_counter() - start
-        report = {
-            "algorithm": algo,
-            "seed": seed,
-            "budget": budget,
-            "evals": env.evals_used,
-            "best_vector": env.best_vector,
-            "best_raw": env.best_raw,
-            "restarts": restarts,
-            "wall_clock_s": wall_clock_s,
-        }
+        report = {"restarts": restarts, "wall_clock_s": wall_clock_s}
         (run_dir / "report.json").write_text(json.dumps(report) + "\n", encoding="utf-8")
-        rows.append({key: report[key] for key in ("seed", "best_raw", "best_vector", "evals")})
+        rows.append({"seed": seed, "best_raw": env.best_raw,
+                     "best_vector": env.best_vector, "evals": env.evals_used})
         print(f"{name}: best raw {env.best_raw:.6f} ({env.evals_used} evals)")
 
     summary = _summarize(algo, budget, rows)
@@ -356,6 +342,7 @@ class _RunDir:
 
 
 def _read_run(path: Path) -> _RunDir:
+    """The seeds that ``summary.json`` lists, each read from its own log."""
     config_path = path / "config.yaml"
     summary_path = path / "summary.json"
     if not config_path.is_file() or not summary_path.is_file():
@@ -364,39 +351,35 @@ def _read_run(path: Path) -> _RunDir:
             "(missing config.yaml or summary.json)"
         )
     cfg = load_config(config_path)
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        algorithm, budget = str(summary["algorithm"]), summary["budget"]
+        rows = [(row["seed"], row["evals"]) for row in summary["per_seed"]]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise CliError(f"{summary_path} is not a run summary: {type(exc).__name__} {exc}") from None
+    if not rows:
+        raise CliError(f"{summary_path} lists no seeds")
     seeds = []
-    for sub in sorted(p for p in path.iterdir() if p.is_dir()):
-        log = sub / "evals.ndjson"
-        if not log.is_file():
-            continue
+    for seed, evals in rows:
+        log = path / ("grid" if seed is None else f"seed_{seed}") / "evals.ndjson"
         records = load_eval_log(log)
-        if not records:
-            raise CliError(f"{log} holds no records")
-        seed = None
-        report_path = sub / "report.json"
-        if report_path.is_file():
-            report = json.loads(report_path.read_text(encoding="utf-8"))
-            if len(records) != report["evals"]:
-                raise CliError(
-                    f"{log} holds {len(records)} records but {report_path} "
-                    f"reports {report['evals']} evals"
-                )
-            seed = report["seed"]
+        if not records or len(records) != evals:
+            raise CliError(
+                f"{log} holds {len(records)} records but {summary_path} reports {evals} evals"
+            )
+        if any(r.index != i for i, r in enumerate(records)):
+            raise CliError(f"{log} does not number its records 0..{evals - 1}")
         # Invalid records log raw 0, so the running max of the raws is the
         # best valid raw so far, and its last value is the seed's best.
         curve = tuple(itertools.accumulate((r.raw for r in records), max))
         seeds.append(_SeedRun(seed=seed, best_raw=curve[-1], curve=curve))
-    if not seeds:
-        raise CliError(f"{path} contains no eval logs")
-    seeds.sort(key=lambda s: (s.seed is None, s.seed if s.seed is not None else 0))
     workload = f"{cfg.model.name}@{cfg.simulation.context_len}"
     return _RunDir(
         path=path,
         cfg=cfg,
         workload=workload,
-        algorithm=str(summary["algorithm"]),
-        budget=summary["budget"],
+        algorithm=algorithm,
+        budget=budget,
         seeds=tuple(seeds),
     )
 

@@ -27,7 +27,7 @@ from .baselines import SaConfig
 from .env import RewardConfig
 from .model import HardwareSpec, ModelSpec, check_fields
 from .ppo import PpoConfig
-from .strategy import AXIS_BY_NAME, ActionSpaceSpec, AxisChoice, canonical_fused_ops
+from .strategy import AXIS_BY_NAME, ActionSpaceSpec, AxisChoice, canonical_fused_ops, check_space
 
 
 class ConfigError(ValueError):
@@ -135,45 +135,31 @@ def _parse_space(section: Mapping[str, Any], model: ModelSpec) -> ActionSpaceSpe
             kwargs[field] = _as_int_tuple(section[key], f"action_space.{key}")
 
     # The searched operators default to all of the model's own operators.
-    op_by_name = {op.name: op for op in canonical_fused_ops(model)}
-    known_ops = list(op_by_name)
     raw_ops = section.get("ops", "all")
     if raw_ops == "all":
-        ops = tuple(known_ops)
+        ops = tuple(op.name for op in canonical_fused_ops(model))
     elif isinstance(raw_ops, list):
         ops = tuple(_as_str(v, f"action_space.ops[{i}]") for i, v in enumerate(raw_ops))
     else:
         raise ConfigError(
             f"action_space.ops must be 'all' or a list of operator names, got {raw_ops!r}"
         )
-    for name in ops:
-        if name not in known_ops:
-            raise ConfigError(
-                f"action_space.ops names unknown operator '{name}'; known: {known_ops}"
-            )
     kwargs["op_names"] = ops
 
     if "pins" in section:
         raw_pins = section["pins"]
         if not isinstance(raw_pins, dict):
             raise ConfigError(f"action_space.pins must be a mapping, got {raw_pins!r}")
-        pins = []
-        for name, axis in raw_pins.items():
-            if name not in known_ops:
-                raise ConfigError(
-                    f"action_space.pins names unknown operator '{name}'; known: {known_ops}"
-                )
-            path = f"action_space.pins.{name}"
-            axis = _as_axis(axis, path)
-            if not op_by_name[name].admits(axis):
-                raise ConfigError(f"{path}: {name} does not admit shard axis '{axis.name.lower()}'")
-            pins.append((name, axis))
-        kwargs["pinned"] = tuple(pins)
+        kwargs["pinned"] = tuple(
+            (name, _as_axis(axis, f"action_space.pins.{name}")) for name, axis in raw_pins.items()
+        )
 
     try:
-        return ActionSpaceSpec(**kwargs)
+        space = ActionSpaceSpec(**kwargs)
+        check_space(space, model)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    return space
 
 
 def parse_config(data: Any, source: str = "<config>") -> ExperimentConfig:

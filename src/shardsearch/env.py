@@ -23,7 +23,7 @@ from typing import Sequence, TextIO
 
 from .model import HardwareSpec, ModelSpec, check_fields
 from .simulator import SimRequest, simulate
-from .strategy import ActionSpaceSpec, Strategy, decode_strategy
+from .strategy import ActionSpaceSpec, Strategy, check_space, decode_strategy
 
 
 class BudgetExhausted(RuntimeError):
@@ -67,8 +67,9 @@ class SearchEnv:
     """Budgeted strategy-evaluation environment over one workload.
 
     Single-writer: exactly one search loop owns an instance. When
-    ``log_path`` is given, every record is appended and flushed immediately
-    so an interrupted run still leaves a valid, replayable log.
+    ``log_path`` is given, it must not exist yet: the log is created for
+    this run alone, and every record is appended and flushed immediately so
+    an interrupted run still leaves a valid, replayable log.
     """
 
     def __init__(
@@ -84,6 +85,7 @@ class SearchEnv:
     ) -> None:
         if budget < 1:
             raise ValueError(f"budget must be positive, got {budget}")
+        check_space(space, model)
         self.model = model
         self.hw = hw
         self.space = space
@@ -97,7 +99,7 @@ class SearchEnv:
         self.eval_log: list[EvalRecord] = []
         self._sink: TextIO | None = None
         if log_path is not None:
-            self._sink = open(log_path, "a", encoding="utf-8")
+            self._sink = open(log_path, "x", encoding="utf-8")
 
     def close(self) -> None:
         if self._sink is not None:

@@ -273,6 +273,23 @@ class ActionSpaceSpec:
         return n
 
 
+def check_space(space: ActionSpaceSpec, model: ModelSpec) -> None:
+    """Refuses a space that names an operator ``model`` lacks or pins one to
+    an axis it does not admit; errors name the action_space config keys."""
+    op_by_name = {op.name: op for op in canonical_fused_ops(model)}
+    known = list(op_by_name)
+    for name in space.op_names:
+        if name not in op_by_name:
+            raise ValueError(f"action_space.ops names unknown operator '{name}'; known: {known}")
+    for name, axis in space.pinned:
+        if name not in op_by_name:
+            raise ValueError(f"action_space.pins names unknown operator '{name}'; known: {known}")
+        if not op_by_name[name].admits(axis):
+            raise ValueError(
+                f"action_space.pins.{name}: {name} does not admit shard axis '{axis.name.lower()}'"
+            )
+
+
 @dataclass(frozen=True)
 class Strategy:
     """One fully specified deployment: coarse degrees plus per-op axes.

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -290,8 +291,9 @@ class TestSearch:
         assert "refusing" in err
 
     def test_rerun_into_unfinished_directory_refused(self, tmp_path, capsys):
-        # A crash leaves logs but no summary.json; a second search into the
-        # same directory must not append to them.
+        # A crash leaves logs but no summary.json; a second search must not
+        # write into that directory, whether or not its seeds' logs would
+        # collide with the first run's.
         out_dir = tmp_path / "rw"
         args = ["search", "--config", "tiny", "--algo", "rw", "--budget", "50",
                 "--out", str(out_dir)]
@@ -299,11 +301,21 @@ class TestSearch:
         log = out_dir / "seed_0" / "evals.ndjson"
         first = log.read_bytes()
         (out_dir / "summary.json").unlink()
-        code, _, err = run_cli(args, capsys)
-        assert code == 1
-        assert str(log) in err
+        for seed0 in ("0", "7"):
+            code, _, err = run_cli(args + ["--seed0", seed0], capsys)
+            assert code == 1
+            assert f"refusing to write into {out_dir}" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["config.yaml", "seed_0"]
         assert log.read_bytes() == first
         assert len(load_eval_log(log)) == 50
+
+    def test_an_empty_out_directory_is_used(self, tmp_path, capsys):
+        out_dir = tmp_path / "rw"
+        out_dir.mkdir()
+        args = ["search", "--config", "tiny", "--algo", "rw", "--budget", "5",
+                "--out", str(out_dir)]
+        assert run_cli(args, capsys)[0] == 0
+        assert (out_dir / "summary.json").is_file()
 
     def test_default_ops_follow_a_model_without_shared_expert(self, tmp_path, capsys):
         doc = yaml.safe_load(packaged_config_path("tiny").read_text(encoding="utf-8"))
@@ -364,7 +376,8 @@ def make_run(tmp_path, capsys, algo, name, budget="30", seeds="2"):
 
 
 class TestOneBest:
-    """report.json, summary.json and the eval log name the same best record."""
+    """summary.json and the eval log name the same best record, and
+    report.json holds only what no other file does."""
 
     @pytest.mark.parametrize("algo", ["ppo", "sa", "rw"])
     def test_every_run_file_names_the_log_best(self, tmp_path, capsys, algo):
@@ -374,14 +387,16 @@ class TestOneBest:
         for row in summary["per_seed"]:
             seed_dir = out_dir / f"seed_{row['seed']}"
             report = json.loads((seed_dir / "report.json").read_text())
-            valid = [r for r in load_eval_log(seed_dir / "evals.ndjson") if r.valid]
-            best = max(valid, key=lambda r: r.raw)  # earliest on ties
-            assert report["best_raw"] == row["best_raw"] == best.raw
-            assert report["best_vector"] == row["best_vector"] == list(best.vector)
+            assert sorted(report) == ["restarts", "wall_clock_s"]
+            records = load_eval_log(seed_dir / "evals.ndjson")
+            best = max((r for r in records if r.valid), key=lambda r: r.raw)  # earliest on ties
+            assert row["best_raw"] == best.raw
+            assert row["best_vector"] == list(best.vector)
+            assert row["evals"] == len(records) == 100
 
     def test_report_reads_report_json_with_the_old_fields(self, tmp_path, capsys):
         # report.json used to carry the best record by reward and copies of
-        # the log's reward and raw arrays; report reads only seed and evals.
+        # the log's reward and raw arrays; report reads no report.json.
         out_dir = make_run(tmp_path, capsys, "ppo", "ppo", budget="100", seeds="2")
         assert run_cli(["report", str(out_dir), "--out", str(tmp_path / "new")], capsys)[0] == 0
         for seed_dir in out_dir.glob("seed_*"):
@@ -516,10 +531,57 @@ class TestReport:
         out_dir = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="1")
         log = out_dir / "seed_0" / "evals.ndjson"
         log.write_text("")
-        (out_dir / "seed_0" / "report.json").unlink()
         code, _, err = run_cli(["report", str(out_dir)], capsys)
         assert code == 1
-        assert str(log) in err and "no records" in err
+        assert f"{log} holds 0 records but {out_dir / 'summary.json'} reports 5 evals" in err
+
+    def test_a_copied_seed_is_not_counted(self, tmp_path, capsys):
+        rw = make_run(tmp_path, capsys, "rw", "rw", budget="50", seeds="3")
+        shutil.copytree(rw / "seed_0", rw / "seed_0 (copy)")
+        code, out, _ = run_cli(["report", str(rw)], capsys)
+        assert code == 0
+        row = out.splitlines()[1].split()
+        assert row[2:4] == ["3", "8674.854664"]
+
+    def test_a_missing_log_is_a_tool_error(self, tmp_path, capsys):
+        rw = make_run(tmp_path, capsys, "rw", "rw", budget="50", seeds="3")
+        log = rw / "seed_1" / "evals.ndjson"
+        log.unlink()
+        code, out, err = run_cli(["report", str(rw)], capsys)
+        assert code == 1
+        assert out == ""
+        assert str(log) in err
+
+    def test_log_records_must_be_numbered_in_order(self, tmp_path, capsys):
+        out_dir = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="1")
+        log = out_dir / "seed_0" / "evals.ndjson"
+        lines = log.read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        log.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(["report", str(out_dir)], capsys)
+        assert code == 1
+        assert f"{log} does not number its records 0..4" in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda s: "{not json",
+            lambda s: json.dumps({k: v for k, v in s.items() if k != "algorithm"}),
+            lambda s: json.dumps({k: v for k, v in s.items() if k != "budget"}),
+            lambda s: json.dumps({**s, "per_seed": []}),
+            lambda s: json.dumps({**s, "per_seed": [{"seed": 0, "best_raw": 1.0}]}),
+            lambda s: json.dumps([s]),
+        ],
+        ids=["not-json", "no-algorithm", "no-budget", "no-rows", "row-without-evals", "a-list"],
+    )
+    def test_a_malformed_summary_is_a_tool_error(self, tmp_path, capsys, damage):
+        out_dir = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="1")
+        path = out_dir / "summary.json"
+        path.write_text(damage(json.loads(path.read_text())))
+        code, out, err = run_cli(["report", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"shardsearch: error: {path} ")
 
     def test_a_log_line_with_other_fields_is_a_tool_error(self, tmp_path, capsys):
         out_dir = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="1")

@@ -17,6 +17,7 @@ from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.simulator import InvalidReason, SimResult, TimeBreakdown
 from shardsearch.strategy import (
     ActionSpaceSpec,
+    AxisChoice,
     canonical_fused_ops,
     encode_strategy,
     megatron_fine_dims,
@@ -290,16 +291,32 @@ class TestEvalLog:
             recomputed = result.throughput if result.valid else 0.0
             assert recomputed == record.raw  # bit-for-bit, not approx
 
-    def test_log_appends_across_env_instances(self, tmp_path):
+    def test_second_env_on_one_log_is_refused(self, tmp_path):
+        # A log holds one run: a second env must not append to it.
         log = tmp_path / "evals.ndjson"
         env1 = make_env(budget=4, log_path=log)
         env1.step(megatron_vector(env1.space, tp=2, batch=4))
         env1.close()
-        env2 = make_env(budget=4, log_path=log)
-        env2.step(megatron_vector(env2.space, tp=2, batch=16))
-        env2.close()
-        records = load_eval_log(log)
-        assert len(records) == 2
+        first = log.read_bytes()
+        with pytest.raises(FileExistsError, match="evals.ndjson"):
+            make_env(budget=4, log_path=log)
+        assert log.read_bytes() == first
+        assert len(load_eval_log(log)) == 1
+
+    def test_space_naming_an_operator_the_model_lacks_is_refused_before_the_log(
+        self, tmp_path
+    ):
+        # The tiny model has no shared expert; the default space names one.
+        cfg = tiny_config()
+        assert "shared_ffn1" in ActionSpaceSpec().op_names
+        log = tmp_path / "evals.ndjson"
+        with pytest.raises(ValueError, match="unknown operator 'shared_ffn1'"):
+            SearchEnv(cfg.model, cfg.hardware, ActionSpaceSpec(), context_len=128,
+                      budget=10, log_path=log)
+        assert not log.exists()
+        pinned = ActionSpaceSpec(op_names=("qkv_proj",), pinned=(("kv_cache_io", AxisChoice.DIM0),))
+        with pytest.raises(ValueError, match=r"pins\.kv_cache_io: kv_cache_io does not admit"):
+            SearchEnv(cfg.model, cfg.hardware, pinned, context_len=128, budget=10)
 
     def test_interrupted_style_partial_log_is_loadable(self, tmp_path):
         log = tmp_path / "evals.ndjson"

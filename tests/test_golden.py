@@ -15,6 +15,9 @@ writes over all four; they are compared byte for byte.
 ``panels-ppo-budget1000.json`` holds the sha256 of each ``seed_*/evals.ndjson``
 that ``search --algo ppo --budget 1000`` writes on the benchmark's two PPO
 panels: ``moe_1p2t_h100`` seeds 0-3 and ``tiny`` seeds 0-7.
+``baselines-moe_1p2t_h100-budget4000.json`` holds the same digests for
+``search --algo sa`` and ``--algo rw`` at budget 4000 over seeds 0-3 of the
+1.2T config, the benchmark's annealing workload.
 ``explain-digests.json`` holds, for each of four strategy sets (the tiny
 table, the 1.2T Megatron grid and seeded random vectors on the 1.2T and 1.6T
 configs), one sha256 over every ``explain`` text and one over every
@@ -59,6 +62,9 @@ RUN_ALGOS = ("ppo", "sa", "rw", "exhaustive")
 PANEL_BUDGET = 1000
 PANELS = (("moe_1p2t_h100", 4), ("tiny", 8))
 PANEL_PATH = GOLDEN_DIR / f"panels-ppo-budget{PANEL_BUDGET}.json"
+BASELINE_CONFIG, BASELINE_BUDGET, BASELINE_SEEDS = "moe_1p2t_h100", 4000, 4
+BASELINE_ALGOS = ("sa", "rw")
+BASELINE_PATH = GOLDEN_DIR / f"baselines-{BASELINE_CONFIG}-budget{BASELINE_BUDGET}.json"
 EXPLAIN_SETS = TABLES + tuple(
     (config, grid)
     for config in ("moe_1p2t_h100", "moe_1p6t_h100")
@@ -174,10 +180,10 @@ def run_outputs(work: Path) -> dict[str, bytes]:
     return outputs
 
 
-def panel_digests(config: str, seeds: int, work: Path) -> list[str]:
-    """sha256 of each seed's eval log from one PPO search over the panel."""
-    argv = ["search", "--config", config, "--algo", "ppo", "--out", str(work)]
-    assert main(argv + ["--budget", str(PANEL_BUDGET), "--seeds", str(seeds)]) == 0
+def log_digests(config: str, algo: str, budget: int, seeds: int, work: Path) -> list[str]:
+    """sha256 of each seed's eval log from one search over seeds 0..seeds-1."""
+    argv = ["search", "--config", config, "--algo", algo, "--out", str(work)]
+    assert main(argv + ["--budget", str(budget), "--seeds", str(seeds)]) == 0
     return [
         hashlib.sha256((work / f"seed_{seed}" / "evals.ndjson").read_bytes()).hexdigest()
         for seed in range(seeds)
@@ -188,9 +194,18 @@ def panel_digests(config: str, seeds: int, work: Path) -> list[str]:
 def test_ppo_panel_logs_match_golden(config, seeds, tmp_path):
     expected = json.loads(PANEL_PATH.read_text(encoding="utf-8"))["sha256"][config]
     assert len(expected) == seeds
-    actual = panel_digests(config, seeds, tmp_path / config)
+    actual = log_digests(config, "ppo", PANEL_BUDGET, seeds, tmp_path / config)
     moved = [seed for seed in range(seeds) if actual[seed] != expected[seed]]
     assert not moved, f"{config}: the eval logs of seeds {moved} differ from the golden digests"
+
+
+@pytest.mark.parametrize("algo", BASELINE_ALGOS)
+def test_baseline_logs_on_the_1p2t_config_match_golden(algo, tmp_path):
+    expected = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))["sha256"][algo]
+    assert len(expected) == BASELINE_SEEDS
+    actual = log_digests(BASELINE_CONFIG, algo, BASELINE_BUDGET, BASELINE_SEEDS, tmp_path / algo)
+    moved = [seed for seed in range(BASELINE_SEEDS) if actual[seed] != expected[seed]]
+    assert not moved, f"{algo}: the eval logs of seeds {moved} differ from the golden digests"
 
 
 def test_run_outputs_match_golden(tmp_path):
@@ -255,7 +270,7 @@ if __name__ == "__main__":
             print(f"wrote {RUN_DIR / name}")
     with tempfile.TemporaryDirectory() as work:
         digests = {
-            config: panel_digests(config, seeds, Path(work) / config)
+            config: log_digests(config, "ppo", PANEL_BUDGET, seeds, Path(work) / config)
             for config, seeds in PANELS
         }
     payload = {
@@ -266,3 +281,18 @@ if __name__ == "__main__":
     }
     PANEL_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {PANEL_PATH}")
+    with tempfile.TemporaryDirectory() as work:
+        digests = {
+            algo: log_digests(
+                BASELINE_CONFIG, algo, BASELINE_BUDGET, BASELINE_SEEDS, Path(work) / algo
+            )
+            for algo in BASELINE_ALGOS
+        }
+    payload = {
+        "config": BASELINE_CONFIG,
+        "budget": BASELINE_BUDGET,
+        "file": "seed_<n>/evals.ndjson",
+        "sha256": digests,
+    }
+    BASELINE_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {BASELINE_PATH}")

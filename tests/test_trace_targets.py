@@ -1,22 +1,34 @@
-"""The benchmark's trace targets name callables that exist.
+"""The benchmark's trace targets and run-file readers work on the package.
 
 ``perfbench/workload.py`` wraps each ``(owner, attr)`` of ``TRACE_TARGETS``
-under ``--trace 1``; a renamed function would otherwise surface only there.
+under ``--trace 1``, and reads every run directory a search writes; a renamed
+function or a changed run file would otherwise surface only there.
 """
 
 import importlib.util
+import json
+import statistics
 import sys
 from pathlib import Path
+
+import pytest
+
+from shardsearch.config import load_config, packaged_config_path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_trace_target_resolves_to_a_callable(monkeypatch):
+@pytest.fixture
+def workload(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH_DIR))  # workload imports its siblings
     spec = importlib.util.spec_from_file_location("bench_workload", BENCH_DIR / "workload.py")
-    workload = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workload)  # its dataclasses look it up
-    spec.loader.exec_module(workload)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves_to_a_callable(workload):
     assert workload.TRACE_TARGETS
     missing = [
         f"{owner.__name__}.{attr}"
@@ -24,3 +36,20 @@ def test_every_trace_target_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"trace targets that no longer exist: {missing}"
+
+
+def test_benchmark_checks_pass_on_the_run_files(workload, tmp_path):
+    cfg = load_config(packaged_config_path("tiny"))
+    spec = workload.Workload("tiny", "rw", 50, (0, 1))
+    ops = workload.run_pass(spec, tmp_path, "pass0", spec.seeds)
+    checker = workload.LogChecker(spec, cfg)
+    for op in ops:
+        checker.check(op)
+        assert op.error is None, op.error
+    bests = [checker.bests[op.seed] for op in ops]
+    assert workload.report_mean(tmp_path, ops) == statistics.fmean(bests)
+
+    sweep = tmp_path / "megatron"
+    workload.cli_call(["search", "--config", "tiny", "--algo", "exhaustive", "--out", str(sweep)])
+    summary = json.loads((sweep / "summary.json").read_text(encoding="utf-8"))
+    workload.checks.check_megatron(summary["best_of_k_raw"], workload.megatron_walk(cfg))
