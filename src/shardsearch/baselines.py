@@ -15,6 +15,7 @@ environment, which keeps the run's best.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,8 +51,18 @@ class SaConfig:
 def uniform_vector(
     space: ActionSpaceSpec, rng: np.random.Generator
 ) -> tuple[int, ...]:
-    """One strategy sampled uniformly over the full joint space."""
-    return tuple(int(rng.integers(k)) for k in space.head_sizes)
+    """One strategy sampled uniformly over the full joint space.
+
+    One ``rng.integers(space.head_sizes)`` call draws the same numbers as one
+    scalar ``rng.integers(k)`` per head, in head order.
+    """
+    return tuple(rng.integers(space.head_sizes).tolist())
+
+
+@functools.cache
+def _mutable_heads(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of the heads with more than one choice."""
+    return tuple(i for i, k in enumerate(sizes) if k > 1)
 
 
 def mutate_vector(
@@ -63,16 +74,23 @@ def mutate_vector(
     """Change ``moves`` distinct coordinates, each to a different value.
 
     Single-choice heads cannot change and are never picked; if every head is
-    single-choice the vector is returned unchanged.
+    single-choice the vector is returned unchanged. The coordinates are
+    ``rng.choice(len(mutable), size=min(moves, len(mutable)), replace=False)``;
+    a single move draws its coordinate with ``rng.integers(len(mutable))``,
+    which consumes the generator the same way.
     """
-    mutable = [i for i, k in enumerate(space.head_sizes) if k > 1]
+    sizes = space.head_sizes
+    mutable = _mutable_heads(sizes)
     if not mutable:
         return vector
-    picks = rng.choice(len(mutable), size=min(moves, len(mutable)), replace=False)
+    if moves == 1:
+        picks = (rng.integers(len(mutable)),)
+    else:
+        picks = rng.choice(len(mutable), size=min(moves, len(mutable)), replace=False)
     out = list(vector)
-    for pick in np.atleast_1d(picks):
-        coord = mutable[int(pick)]
-        k = space.head_sizes[coord]
+    for pick in picks:
+        coord = mutable[pick]
+        k = sizes[coord]
         # Uniform over the k-1 values that differ from the current one.
         drawn = int(rng.integers(k - 1))
         out[coord] = drawn if drawn < out[coord] else drawn + 1

@@ -37,6 +37,8 @@ class AxisChoice(IntEnum):
 
 # The one spelling of axis names in configs, flags and printed plans.
 AXIS_BY_NAME = {axis.name.lower(): axis for axis in AxisChoice}
+# Members by wire index, so decoding indexes a tuple instead of calling the enum.
+_AXES = tuple(AxisChoice)
 
 
 class OpClass(IntEnum):
@@ -254,9 +256,10 @@ class ActionSpaceSpec:
         """Length of the flat index encoding: four coarse heads plus one per op."""
         return 4 + self.num_ops
 
-    @property
+    @functools.cached_property
     def head_sizes(self) -> tuple[int, ...]:
-        """Domain size per sub-action head, in encoding order."""
+        """Domain size per sub-action head, in encoding order, computed once
+        per instance (``dataclasses.replace`` makes a new one)."""
         return (
             len(self.tp_domain),
             len(self.ep_domain),
@@ -371,7 +374,7 @@ def decode_strategy(vector: tuple[int, ...], space: ActionSpaceSpec) -> Strategy
         pp=space.pp_domain[vector[2]],
         batch=space.batch_domain[vector[3]],
         op_names=space.op_names,
-        op_dims=tuple(AxisChoice(idx) for idx in vector[4:]),
+        op_dims=tuple(_AXES[idx] for idx in vector[4:]),
         pinned_dims=space.pinned,
     )
 

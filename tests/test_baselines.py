@@ -126,6 +126,62 @@ class TestUniformAndMutate:
             assert moved != base  # batch or the op head moved
 
 
+def reference_mutate(vector, space, rng, moves=1):
+    """``mutate_vector`` as first written: a ``rng.choice`` pick for any
+    number of moves and the head sizes rebuilt on every call."""
+    mutable = [i for i, k in enumerate(space.head_sizes) if k > 1]
+    if not mutable:
+        return vector
+    picks = rng.choice(len(mutable), size=min(moves, len(mutable)), replace=False)
+    out = list(vector)
+    for pick in np.atleast_1d(picks):
+        coord = mutable[int(pick)]
+        drawn = int(rng.integers(space.head_sizes[coord] - 1))
+        out[coord] = drawn if drawn < out[coord] else drawn + 1
+    return tuple(out)
+
+
+class TestRandomStreams:
+    """The numpy stream equalities that the baselines' cheaper draws rely on.
+
+    If a numpy release changes either algorithm, these fail first and name
+    the cause, before any golden eval-log digest moves.
+    """
+
+    def test_one_bounded_integer_equals_a_single_pick_without_replacement(self):
+        for n in range(1, 41):
+            for seed in range(20):
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(30):
+                    assert fast.integers(n) == slow.choice(n, size=1, replace=False)[0], n
+                    assert fast.integers(n + 5) == slow.integers(n + 5)
+                    assert fast.random() == slow.random()
+
+    def test_one_integers_call_over_sizes_equals_one_scalar_draw_each(self):
+        sizes = (7, 7, 1, 11, 3, 2, 3, 1, 40, 3)
+        for seed in range(100):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                assert fast.integers(sizes).tolist() == [int(slow.integers(k)) for k in sizes]
+                assert fast.random() == slow.random()
+
+    @pytest.mark.parametrize("moves", [1, 2, 3, 9])
+    def test_mutate_vector_matches_the_reference(self, moves):
+        spaces = (
+            small_space(),
+            ActionSpaceSpec(tp_domain=(1,), ep_domain=(1,), pp_domain=(1, 2),
+                            batch_domain=(1, 4), op_names=("qkv_proj", "lm_head")),
+        )
+        for space in spaces:
+            fast, slow = np.random.default_rng(moves), np.random.default_rng(moves)
+            vector = uniform_vector(space, fast)
+            assert vector == uniform_vector(space, slow)
+            for _ in range(300):
+                moved = mutate_vector(vector, space, fast, moves)
+                assert moved == reference_mutate(vector, space, slow, moves)
+                vector = moved
+
+
 class TestAcceptanceRule:
     def test_non_worsening_always_accepted(self):
         assert acceptance_probability(0.0, 1e-12) == 1.0

@@ -17,7 +17,9 @@ that ``search --algo ppo --budget 1000`` writes on the benchmark's two PPO
 panels: ``moe_1p2t_h100`` seeds 0-3 and ``tiny`` seeds 0-7.
 ``baselines-moe_1p2t_h100-budget4000.json`` holds the same digests for
 ``search --algo sa`` and ``--algo rw`` at budget 4000 over seeds 0-3 of the
-1.2T config, the benchmark's annealing workload.
+1.2T config, the benchmark's annealing workload, and
+``panels-sa-budget4000.json`` those of ``--algo sa`` over seeds 0-31, the
+benchmark's whole annealing panel.
 ``explain-digests.json`` holds, for each of four strategy sets (the tiny
 table, the 1.2T Megatron grid and seeded random vectors on the 1.2T and 1.6T
 configs), one sha256 over every ``explain`` text and one over every
@@ -65,6 +67,8 @@ PANEL_PATH = GOLDEN_DIR / f"panels-ppo-budget{PANEL_BUDGET}.json"
 BASELINE_CONFIG, BASELINE_BUDGET, BASELINE_SEEDS = "moe_1p2t_h100", 4000, 4
 BASELINE_ALGOS = ("sa", "rw")
 BASELINE_PATH = GOLDEN_DIR / f"baselines-{BASELINE_CONFIG}-budget{BASELINE_BUDGET}.json"
+SA_PANEL_SEEDS = 32
+SA_PANEL_PATH = GOLDEN_DIR / f"panels-sa-budget{BASELINE_BUDGET}.json"
 EXPLAIN_SETS = TABLES + tuple(
     (config, grid)
     for config in ("moe_1p2t_h100", "moe_1p6t_h100")
@@ -208,6 +212,14 @@ def test_baseline_logs_on_the_1p2t_config_match_golden(algo, tmp_path):
     assert not moved, f"{algo}: the eval logs of seeds {moved} differ from the golden digests"
 
 
+def test_sa_panel_logs_on_the_1p2t_config_match_golden(tmp_path):
+    expected = json.loads(SA_PANEL_PATH.read_text(encoding="utf-8"))["sha256"][BASELINE_CONFIG]
+    assert len(expected) == SA_PANEL_SEEDS
+    actual = log_digests(BASELINE_CONFIG, "sa", BASELINE_BUDGET, SA_PANEL_SEEDS, tmp_path)
+    moved = [seed for seed in range(SA_PANEL_SEEDS) if actual[seed] != expected[seed]]
+    assert not moved, f"sa: the eval logs of seeds {moved} differ from the golden digests"
+
+
 def test_run_outputs_match_golden(tmp_path):
     outputs = run_outputs(tmp_path)
     assert sorted(outputs) == sorted(p.name for p in RUN_DIR.iterdir())
@@ -296,3 +308,15 @@ if __name__ == "__main__":
     }
     BASELINE_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {BASELINE_PATH}")
+    with tempfile.TemporaryDirectory() as work:
+        digests = log_digests(
+            BASELINE_CONFIG, "sa", BASELINE_BUDGET, SA_PANEL_SEEDS, Path(work)
+        )
+    payload = {
+        "algo": "sa",
+        "budget": BASELINE_BUDGET,
+        "file": "seed_<n>/evals.ndjson",
+        "sha256": {BASELINE_CONFIG: digests},
+    }
+    SA_PANEL_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {SA_PANEL_PATH}")

@@ -1,5 +1,9 @@
 """Strategy encoding, action space, and model bookkeeping."""
 
+import dataclasses
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +14,7 @@ from shardsearch.strategy import (
     AxisChoice,
     DecodingError,
     EncodingError,
+    OpClass,
     Strategy,
     canonical_fused_ops,
     count_parameters,
@@ -147,6 +152,14 @@ class TestActionSpace:
         with pytest.raises(ValueError, match="pins"):
             ActionSpaceSpec(pinned=(("qkv_proj", AxisChoice.DIM1),))
 
+    def test_head_sizes_follow_replace_to_a_new_domain(self):
+        space = ActionSpaceSpec()
+        assert space.head_sizes[:4] == (7, 7, 7, 11)
+        narrowed = dataclasses.replace(space, tp_domain=(1, 2), op_names=("qkv_proj",))
+        assert narrowed.head_sizes == (2, 7, 7, 11, 3)
+        assert narrowed.size == 2 * 7 * 7 * 11 * 3
+        assert space.head_sizes == (7, 7, 7, 11) + (3,) * 12
+
 
 class TestEncoding:
     def setup_method(self):
@@ -176,6 +189,25 @@ class TestEncoding:
     def test_index_out_of_range_is_decoding_error(self):
         with pytest.raises(DecodingError, match="position 0"):
             decode_strategy((7,) + (0,) * 15, self.space)
+
+    @pytest.mark.parametrize(
+        "bad", [True, np.int64(1), -1, 3], ids=["bool", "numpy-int", "negative", "too-large"]
+    )
+    def test_malformed_index_is_a_decoding_error_naming_its_position(self, bad):
+        vector = (0,) * 9 + (bad,) + (0,) * 6
+        message = re.escape(f"index {bad!r} at position 9 out of range")
+        with pytest.raises(DecodingError, match=message):
+            decode_strategy(vector, self.space)
+
+    def test_int_enum_indices_are_accepted(self):
+        vector = (0, 0, 0, OpClass.ROUTER) + (AxisChoice.DIM1,) + (0,) * 11
+        s = decode_strategy(vector, self.space)
+        assert s.batch == 8
+        assert s.op_dims[0] is AxisChoice.DIM1
+
+    def test_op_dims_hold_the_axis_members(self):
+        s = decode_strategy((0,) * 4 + (0, 1, 2) * 4, self.space)
+        assert all(axis is AxisChoice(i % 3) for i, axis in enumerate(s.op_dims))
 
     def test_wrong_length_is_decoding_error(self):
         with pytest.raises(DecodingError, match="length"):
