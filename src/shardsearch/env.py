@@ -17,12 +17,13 @@ valid record of that log (``None`` and 0 while nothing was valid).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
 
 from .model import HardwareSpec, ModelSpec, check_fields
-from .simulator import SimRequest, simulate
+from .simulator import InvalidReason, SimRequest, simulate
 from .strategy import ActionSpaceSpec, Strategy, check_space, decode_strategy
 
 
@@ -54,13 +55,43 @@ class EvalRecord:
     reason: str
 
     def to_json(self) -> str:
-        return json.dumps(vars(self))
+        return _ENCODER.encode(vars(self))
 
     @staticmethod
     def from_json(line: str) -> "EvalRecord":
+        """Parse one log line; a missing, unknown or ill-typed field is a ValueError."""
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        unknown, missing = d.keys() - _FIELD_CHECKS, _FIELD_CHECKS.keys() - d.keys()
+        if unknown or missing:
+            raise ValueError(f"unknown fields {sorted(unknown)}, missing fields {sorted(missing)}")
+        for name, check in _FIELD_CHECKS.items():
+            if not check(d[name]):
+                raise ValueError(f"field {name!r} has a wrong value {d[name]!r}")
         d["vector"] = tuple(d["vector"])
         return EvalRecord(**d)
+
+
+def _is_int(value: object) -> bool:
+    return type(value) is int  # bool is an int subclass and is refused
+
+
+def _is_finite_number(value: object) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+_REASONS = frozenset(reason.value for reason in InvalidReason)
+_FIELD_CHECKS = {
+    "index": _is_int,
+    "vector": lambda v: type(v) is list and all(map(_is_int, v)),
+    "raw": _is_finite_number,
+    "reward": _is_finite_number,
+    "valid": lambda v: type(v) is bool,
+    "reason": lambda v: type(v) is str and v in _REASONS,
+}
+# One encoder for every log line; it writes the same bytes as json.dumps.
+_ENCODER = json.JSONEncoder(check_circular=False)
 
 
 class SearchEnv:

@@ -18,15 +18,17 @@ exactly one collective reconciles them (``_RECONCILE``):
     sharded       all_gather      (no-op)
     partial_sum   all_reduce      reduce_scatter
 
-Planning walks a layer's operator sequence once, inserts the table's
-collective at every disagreement, and restores the replicated state at block
-boundaries where residual adds and normalization need full activations.
+Planning first resolves every operator's layouts in walk order, so an
+unrealizable strategy fails before any plan record exists. It then walks the
+segment once, inserts the table's collective at every disagreement, and
+restores the replicated state at block boundaries where residual adds and
+normalization need full activations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .model import ModelSpec
 from .strategy import AxisChoice, FusedOpDescriptor, OpClass, Strategy
@@ -56,8 +58,7 @@ class LayoutError(ValueError):
     """Sharding choice that cannot be realized by the layout algebra."""
 
 
-@dataclass(frozen=True)
-class CollectiveOp:
+class CollectiveOp(NamedTuple):
     """One communication step: what moves, over how many devices, on which wire."""
 
     kind: CollectiveKind
@@ -122,8 +123,7 @@ def op_layouts(
     return demanded, yielded
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     """One operator instance in a layer plan with its reconciliation traffic."""
 
     op: FusedOpDescriptor
@@ -142,8 +142,7 @@ class PlanStep:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class LayerPlan:
+class LayerPlan(NamedTuple):
     """Planned operator walk plus trailing boundary reconciliation."""
 
     steps: tuple[PlanStep, ...]
@@ -162,13 +161,56 @@ class LayerPlan:
         return "\n".join(lines)
 
 
+class Segment(NamedTuple):
+    """One operator segment in walk order, computed once per operator table.
+
+    ``prefix`` runs linearly up to ``router``, which holds the router or
+    nothing; after it, the ``routed`` expert ops and the ``shared`` others
+    form two parallel branches. A segment without a router is all prefix.
+    ``has_experts`` says whether any op is a routed-expert matmul, where the
+    ep constraints bind.
+    """
+
+    prefix: tuple[FusedOpDescriptor, ...]
+    router: tuple[FusedOpDescriptor, ...]
+    routed: tuple[FusedOpDescriptor, ...]
+    shared: tuple[FusedOpDescriptor, ...]
+    has_experts: bool
+
+    @classmethod
+    def of(cls, ops: tuple[FusedOpDescriptor, ...]) -> Segment:
+        branch_point = next(
+            (i for i, op in enumerate(ops) if op.op_class is OpClass.ROUTER), len(ops)
+        )
+        branch = ops[branch_point + 1 :]
+        return cls(
+            prefix=ops[:branch_point],
+            router=ops[branch_point : branch_point + 1],
+            routed=tuple(op for op in branch if op.op_class is OpClass.MOE_MATMUL),
+            shared=tuple(op for op in branch if op.op_class is not OpClass.MOE_MATMUL),
+            has_experts=any(op.op_class is OpClass.MOE_MATMUL for op in ops),
+        )
+
+
+# (op, axis, input demanded, output yielded) of one operator under a strategy.
+_Resolved = tuple[FusedOpDescriptor, AxisChoice, LayoutKind | None, LayoutKind | None]
+
+
+def _resolve(ops: tuple[FusedOpDescriptor, ...], strategy: Strategy) -> list[_Resolved]:
+    out = []
+    for op in ops:
+        axis = strategy.axis_of(op.name)
+        out.append((op, axis, *op_layouts(op, axis, strategy.tp)))
+    return out
+
+
 class _Walker:
     """Mutable cursor over one operator segment: layout, width, pending comm."""
 
     def __init__(
-        self, model: ModelSpec, strategy: Strategy, tokens: float, tp_wire: Interconnect
+        self, model: ModelSpec, tp: int, tokens: float, tp_wire: Interconnect
     ) -> None:
-        self.strategy = strategy
+        self.tp = tp
         self.tokens = tokens
         self.tp_wire = tp_wire
         self.dtype = model.dtype_bytes
@@ -186,13 +228,17 @@ class _Walker:
         kind = _RECONCILE[self.state, target]
         if kind is not CollectiveKind.NO_OP:
             self.pending.append(
-                CollectiveOp(kind, self.strategy.tp, self.tensor_bytes(), self.tp_wire, purpose)
+                CollectiveOp(kind, self.tp, self.tensor_bytes(), self.tp_wire, purpose)
             )
         self.state = target
 
-    def run_op(self, op: FusedOpDescriptor) -> None:
-        axis = self.strategy.axis_of(op.name)
-        demanded, yielded = op_layouts(op, axis, self.strategy.tp)
+    def run_op(
+        self,
+        op: FusedOpDescriptor,
+        axis: AxisChoice,
+        demanded: LayoutKind | None,
+        yielded: LayoutKind | None,
+    ) -> None:
         if demanded is not None:
             self.reconcile(demanded, f"feed {op.name}")
         out = yielded or self.state
@@ -206,12 +252,12 @@ class _Walker:
 
 def plan_layer(
     model: ModelSpec,
-    ops: tuple[FusedOpDescriptor, ...],
+    segment: Segment,
     strategy: Strategy,
     batch_tokens: int,
     node_size: int,
 ) -> LayerPlan:
-    """Plan one pass over ``ops`` starting and ending replicated.
+    """Plan one pass over ``segment`` starting and ending replicated.
 
     The walk follows the canonical segment structure: an attention block that
     must hand a replicated activation to its residual/norm, a router feeding
@@ -219,50 +265,50 @@ def plan_layer(
     addition, and a trailing boundary that restores the replicated state for
     the next layer. Expert-parallel dispatch and combine appear as all_to_all
     steps around the routed branch. Raises LayoutError for unrealizable
-    strategies (inadmissible axes, indivisible extents, degree overflows).
+    strategies (degree overflows first, then inadmissible axes and
+    indivisible extents in walk order) before building any plan record.
     """
     tp, ep = strategy.tp, strategy.ep
-    tp_wire = Interconnect.INTRA_NODE if tp <= node_size else Interconnect.INTER_NODE
-    ep_wire = Interconnect.INTRA_NODE if tp * ep <= node_size else Interconnect.INTER_NODE
-    if any(op.op_class is OpClass.MOE_MATMUL for op in ops):
+    if segment.has_experts:
         # Segments without expert ops (embedding, lm head) are planned under
         # any ep; the degree constraints bind where the routed branch lives.
         if ep > model.num_experts:
             raise LayoutError(f"ep={ep} exceeds num_experts={model.num_experts}")
         if model.num_experts % ep != 0:
             raise LayoutError(f"ep={ep} does not divide num_experts={model.num_experts}")
+    prefix = _resolve(segment.prefix, strategy)
+    router = _resolve(segment.router, strategy)
+    routed = _resolve(segment.routed, strategy)
+    shared = _resolve(segment.shared, strategy)
 
-    walker = _Walker(model, strategy, float(batch_tokens), tp_wire)
+    tp_wire = Interconnect.INTRA_NODE if tp <= node_size else Interconnect.INTER_NODE
+    walker = _Walker(model, tp, float(batch_tokens), tp_wire)
 
     # Linear prefix: everything up to the router feeds the next op directly.
-    branch_point = next(
-        (i for i, op in enumerate(ops) if op.op_class is OpClass.ROUTER), len(ops)
-    )
-    for op in ops[:branch_point]:
-        walker.run_op(op)
-        if op.name == "attn_out_proj":
+    for resolved in prefix:
+        walker.run_op(*resolved)
+        if resolved[0].name == "attn_out_proj":
             # Residual add and the following norm consume full activations.
             walker.reconcile(_R, "attention residual")
 
-    if branch_point < len(ops):
-        walker.run_op(ops[branch_point])
-        branch = ops[branch_point + 1 :]
+    if router:
+        walker.run_op(*router[0])
 
         # Routed branch. Dispatch scatters each token to its experts across
         # the EP group; with balanced routing every device then holds
         # batch * experts_per_token / ep token slots.
+        ep_wire = Interconnect.INTRA_NODE if tp * ep <= node_size else Interconnect.INTER_NODE
         routed_tokens = batch_tokens * model.experts_per_token / ep
         dispatch_bytes = routed_tokens * model.hidden_dim * model.dtype_bytes
-        expert_walker = _Walker(model, strategy, routed_tokens, tp_wire)
+        expert_walker = _Walker(model, tp, routed_tokens, tp_wire)
         if ep > 1:
             expert_walker.pending.append(
                 CollectiveOp(
                     CollectiveKind.ALL_TO_ALL, ep, dispatch_bytes, ep_wire, "expert dispatch"
                 )
             )
-        for op in branch:
-            if op.op_class is OpClass.MOE_MATMUL:
-                expert_walker.run_op(op)
+        for resolved in routed:
+            expert_walker.run_op(*resolved)
         if ep > 1:
             expert_walker.pending.append(
                 CollectiveOp(
@@ -272,10 +318,9 @@ def plan_layer(
 
         # Shared branch (the other ops after the router), computed from the
         # same replicated layer input.
-        shared_walker = _Walker(model, strategy, float(batch_tokens), tp_wire)
-        for op in branch:
-            if op.op_class is not OpClass.MOE_MATMUL:
-                shared_walker.run_op(op)
+        shared_walker = _Walker(model, tp, float(batch_tokens), tp_wire)
+        for resolved in shared:
+            shared_walker.run_op(*resolved)
 
         for branch_walker in (expert_walker, shared_walker):
             walker.steps.extend(branch_walker.steps)

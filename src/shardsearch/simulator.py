@@ -40,13 +40,13 @@ from .layout import (
     LayerPlan,
     LayoutError,
     PlanStep,
+    Segment,
     plan_layer,
 )
 from .model import HardwareSpec, ModelSpec, check_fields
 from .strategy import (
     AxisChoice,
     CostKind,
-    FusedOpDescriptor,
     Strategy,
     canonical_fused_ops,
     count_parameters,
@@ -215,7 +215,7 @@ def _op_cost(
 
 
 @functools.cache
-def _segments(model: ModelSpec) -> tuple[tuple[FusedOpDescriptor, ...], ...]:
+def _segments(model: ModelSpec) -> tuple[Segment, Segment, Segment]:
     """(pre, layer, post) operator segments of one decode step.
 
     The per-layer ops form the layer stack; the once-per-model ops before
@@ -224,9 +224,9 @@ def _segments(model: ModelSpec) -> tuple[tuple[FusedOpDescriptor, ...], ...]:
     ops = canonical_fused_ops(model)
     first = next(i for i, op in enumerate(ops) if op.per_layer)
     return (
-        ops[:first],
-        tuple(op for op in ops if op.per_layer),
-        tuple(op for op in ops[first:] if not op.per_layer),
+        Segment.of(ops[:first]),
+        Segment.of(tuple(op for op in ops if op.per_layer)),
+        Segment.of(tuple(op for op in ops[first:] if not op.per_layer)),
     )
 
 
@@ -257,15 +257,15 @@ def simulate(req: SimRequest) -> SimResult:
             detail=f"needs {s.world_size} devices, budget is {hw.device_budget}",
         )
 
-    pre_ops, layer_ops, post_ops = _segments(model)
+    pre_seg, layer_seg, post_seg = _segments(model)
     try:
         if model.num_layers % s.pp != 0:
             raise LayoutError(
                 f"pp={s.pp} does not divide num_layers={model.num_layers}"
             )
-        layer_plan = plan_layer(model, layer_ops, s, s.batch, hw.node_size)
-        pre_plan = plan_layer(model, pre_ops, s, s.batch, hw.node_size)
-        post_plan = plan_layer(model, post_ops, s, s.batch, hw.node_size)
+        layer_plan = plan_layer(model, layer_seg, s, s.batch, hw.node_size)
+        pre_plan = plan_layer(model, pre_seg, s, s.batch, hw.node_size)
+        post_plan = plan_layer(model, post_seg, s, s.batch, hw.node_size)
     except LayoutError as err:
         return SimResult(
             valid=False, invalid_reason=InvalidReason.LAYOUT_ERROR, detail=str(err)
@@ -285,17 +285,19 @@ def simulate(req: SimRequest) -> SimResult:
     pre_c, pre_m = _plan_times(pre_plan, model, hw, s, req.context_len)
     post_c, post_m = _plan_times(post_plan, model, hw, s, req.context_len)
 
-    hop_wire = (
-        Interconnect.INTRA_NODE if s.world_size <= hw.node_size else Interconnect.INTER_NODE
-    )
-    hop = CollectiveOp(
-        CollectiveKind.POINT_TO_POINT,
-        group_size=2,
-        payload_bytes=s.batch * model.hidden_dim * model.dtype_bytes,
-        interconnect=hop_wire,
-        purpose="stage handoff",
-    )
-    hop_s = collective_time(hop, hw) if s.pp > 1 else 0.0
+    hop_s = 0.0
+    if s.pp > 1:
+        hop_wire = (
+            Interconnect.INTRA_NODE if s.world_size <= hw.node_size else Interconnect.INTER_NODE
+        )
+        hop = CollectiveOp(
+            CollectiveKind.POINT_TO_POINT,
+            group_size=2,
+            payload_bytes=s.batch * model.hidden_dim * model.dtype_bytes,
+            interconnect=hop_wire,
+            purpose="stage handoff",
+        )
+        hop_s = collective_time(hop, hw)
 
     compute_s = model.num_layers * layer_c + pre_c + post_c
     comm_s = model.num_layers * layer_m + pre_m + post_m

@@ -24,7 +24,7 @@ from shardsearch.baselines import (
 )
 from shardsearch.config import load_config, packaged_config_path
 from shardsearch.env import RewardConfig, SearchEnv, load_eval_log
-from shardsearch.layout import CollectiveKind, CollectiveOp, Interconnect, plan_layer
+from shardsearch.layout import CollectiveKind, CollectiveOp, Interconnect, Segment, plan_layer
 from shardsearch.policy import EliteBuffer, PolicyNetwork
 from shardsearch.ppo import (
     ChunkExit,
@@ -192,7 +192,7 @@ def test_allgather_between_ffn_matmuls_replaces_the_mlp_allreduce():
             op_dims=tuple(dims_by_name[n] for n in names),
         )
         return plan_layer(
-            cfg.model, ops, strategy, batch_tokens=64, node_size=cfg.hardware.node_size
+            cfg.model, Segment.of(ops), strategy, batch_tokens=64, node_size=cfg.hardware.node_size
         )
 
     def mlp_collectives(plan):

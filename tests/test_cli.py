@@ -593,6 +593,20 @@ class TestReport:
         assert code == 1
         assert f"{log}:2 is not an eval record" in err and "tpot_s" in err
 
+    def test_a_log_field_of_the_wrong_type_is_a_tool_error(self, tmp_path, capsys):
+        out_dir = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="1")
+        log = out_dir / "seed_0" / "evals.ndjson"
+        lines = log.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["raw"] = "12"
+        lines[1] = json.dumps(record)
+        log.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["report", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"shardsearch: error: {log}:2 is not an eval record")
+        assert "'raw'" in err
+
     def test_a_seed_given_twice_is_refused(self, tmp_path, capsys):
         rw = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="2")
         code, out, err = run_cli(["report", str(rw), f"{rw}/"], capsys)

@@ -1,6 +1,9 @@
 """Reward shaping, budget accounting, and eval-log integrity."""
 
 import functools
+import json
+import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from shardsearch.config import load_config, packaged_config_path
 from shardsearch.env import (
     BudgetExhausted,
+    EvalRecord,
     RewardConfig,
     SearchEnv,
     load_eval_log,
@@ -326,3 +330,66 @@ class TestEvalLog:
         records = load_eval_log(log)
         assert len(records) == 1
         env.close()
+
+
+GOOD_RECORD = {
+    "index": 1, "vector": [0, 2, 1], "raw": 12.5, "reward": -10.0,
+    "valid": True, "reason": "none",
+}
+
+
+class TestEvalRecordJson:
+    @given(
+        index=st.integers(min_value=0, max_value=1 << 70),
+        vector=st.lists(st.integers(min_value=-(1 << 70), max_value=1 << 70), max_size=12),
+        raw=st.one_of(
+            st.floats(),
+            st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+            st.integers(min_value=-(1 << 80), max_value=1 << 80),
+        ),
+        reward=st.floats(),
+        valid=st.booleans(),
+        reason=st.sampled_from([r.value for r in InvalidReason]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_to_json_writes_the_bytes_of_json_dumps(
+        self, index, vector, raw, reward, valid, reason
+    ):
+        record = EvalRecord(index, tuple(vector), raw, reward, valid, reason)
+        line = record.to_json()
+        assert line == json.dumps(vars(record))
+        if all(isinstance(x, int) or math.isfinite(x) for x in (raw, reward)):
+            assert EvalRecord.from_json(line) == record
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("index", "1"), ("index", True), ("index", 1.0),
+            ("vector", "012"), ("vector", [0, True, 1]), ("vector", [0, 1.0]),
+            ("vector", [0, "1"]),
+            ("raw", "12"), ("raw", False), ("raw", None), ("raw", float("nan")),
+            ("reward", float("inf")), ("reward", "-10"),
+            ("valid", 1), ("valid", "true"),
+            ("reason", "bogus"), ("reason", 0), ("reason", ["none"]),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_names_the_line(self, tmp_path, field, value):
+        log = tmp_path / "evals.ndjson"
+        bad = {**GOOD_RECORD, field: value}
+        log.write_text(json.dumps({**GOOD_RECORD, "index": 0}) + "\n" + json.dumps(bad) + "\n")
+        expected = re.escape(f"{log}:2 is not an eval record: ") + f".*'{field}'"
+        with pytest.raises(ValueError, match=expected):
+            load_eval_log(log)
+
+    def test_a_well_typed_record_loads(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        log.write_text(json.dumps(GOOD_RECORD) + "\n")
+        (record,) = load_eval_log(log)
+        assert record == EvalRecord(1, (0, 2, 1), 12.5, -10.0, True, "none")
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"index": 0}'])
+    def test_a_line_without_the_record_fields_is_refused(self, tmp_path, line):
+        log = tmp_path / "evals.ndjson"
+        log.write_text(line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{log}:1 is not an eval record")):
+            load_eval_log(log)

@@ -3,19 +3,25 @@
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from shardsearch import layout
+from shardsearch.config import load_config, packaged_config_path
 from shardsearch.layout import (
     CollectiveKind,
     Interconnect,
     LayoutError,
     LayoutKind,
+    Segment,
     op_layouts,
     plan_layer,
 )
 from shardsearch.model import ModelSpec
+from shardsearch.simulator import InvalidReason, SimRequest, simulate
 from shardsearch.strategy import (
     AxisChoice,
+    OpClass,
     Strategy,
     canonical_fused_ops,
     megatron_fine_dims,
@@ -51,8 +57,8 @@ def make_strategy(model, tp=4, ep=1, pp=1, batch=8, overrides=None):
     )
 
 
-def layer_ops(model):
-    return tuple(op for op in canonical_fused_ops(model) if op.per_layer)
+def layer_segment(model):
+    return Segment.of(tuple(op for op in canonical_fused_ops(model) if op.per_layer))
 
 
 def kinds(plan):
@@ -64,7 +70,7 @@ R, S, P = LayoutKind.REPLICATED, LayoutKind.SHARDED, LayoutKind.PARTIAL_SUM
 
 def plan_with(model, tp=4, **axes):
     s = make_strategy(model, tp=tp, overrides=axes)
-    return plan_layer(model, layer_ops(model), s, batch_tokens=8, node_size=8)
+    return plan_layer(model, layer_segment(model), s, batch_tokens=8, node_size=8)
 
 
 def steps_of(plan):
@@ -175,11 +181,11 @@ class TestInferOutputLayout:
 class TestLayerPlans:
     def setup_method(self):
         self.model = small_model()
-        self.ops = layer_ops(self.model)
+        self.segment = layer_segment(self.model)
 
     def test_megatron_layer_has_exactly_two_all_reduces(self):
         s = make_strategy(self.model, tp=4)
-        plan = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
         counts = kinds(plan)
         assert counts[CollectiveKind.ALL_REDUCE] == 2
         assert set(counts) == {CollectiveKind.ALL_REDUCE}
@@ -193,7 +199,7 @@ class TestLayerPlans:
             self.model, tp=4,
             overrides={"expert_ffn2": AxisChoice.DIM1, "shared_ffn2": AxisChoice.DIM1},
         )
-        plan = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
         steps = {step.op.name: step for step in plan.steps}
         between = steps["expert_ffn2"].collectives_before
         assert [c.kind for c in between] == [CollectiveKind.ALL_GATHER]
@@ -211,12 +217,12 @@ class TestLayerPlans:
 
     def test_tensor_parallel_one_plans_no_communication(self):
         s = make_strategy(self.model, tp=1)
-        plan = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
         assert plan.all_collectives() == ()
 
     def test_expert_parallel_adds_dispatch_and_combine(self):
         s = make_strategy(self.model, tp=1, ep=4)
-        plan = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
         a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
         assert len(a2a) == 2
         assert {c.purpose for c in a2a} == {"expert dispatch", "expert combine"}
@@ -228,28 +234,28 @@ class TestLayerPlans:
     def test_expert_parallel_beyond_expert_count_fails(self):
         s = make_strategy(self.model, tp=1, ep=16)
         with pytest.raises(LayoutError, match="exceeds num_experts"):
-            plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
+            plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
 
     def test_unsharded_everything_plans_no_tensor_collectives(self):
         s = make_strategy(self.model, tp=4)
         s = dataclasses.replace(s, op_dims=tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
-        plan = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
         assert plan.all_collectives() == ()
 
     def test_interconnect_follows_group_span(self):
         wide = make_strategy(self.model, tp=4, ep=4)
-        plan = plan_layer(self.model, self.ops, wide, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment, wide, batch_tokens=8, node_size=8)
         a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
         assert all(c.interconnect is Interconnect.INTER_NODE for c in a2a)
         narrow = make_strategy(self.model, tp=2, ep=4)
-        plan = plan_layer(self.model, self.ops, narrow, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment, narrow, batch_tokens=8, node_size=8)
         a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
         assert all(c.interconnect is Interconnect.INTRA_NODE for c in a2a)
 
     def test_planning_is_pure_and_deterministic(self):
         s = make_strategy(self.model, tp=4, ep=2)
-        first = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
-        second = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
+        first = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        second = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
         assert first == second
 
     def test_mixed_branch_layouts_align_before_merge(self):
@@ -257,7 +263,102 @@ class TestLayerPlans:
         # be replicated before the add. The shared branch also gathers
         # internally because its second matmul contracts over full features.
         s = make_strategy(self.model, tp=4, overrides={"shared_ffn2": AxisChoice.DIM1})
-        plan = plan_layer(self.model, self.ops, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
         counts = kinds(plan)
         assert counts[CollectiveKind.ALL_REDUCE] == 2  # attention + routed align
         assert counts[CollectiveKind.ALL_GATHER] == 2  # shared internal + align
+
+
+def reference_layout_verdict(model, strategy):
+    """Text of the first LayoutError of the simulator's gate, None when none.
+
+    Kept as the walk the planner must reproduce: the pp check, then for the
+    layer, pre and post segments in turn the ep checks (where expert ops
+    live) and every op's layouts over the prefix, the router, the routed
+    expert ops and the shared ops.
+    """
+    if model.num_layers % strategy.pp != 0:
+        return f"pp={strategy.pp} does not divide num_layers={model.num_layers}"
+    ops = canonical_fused_ops(model)
+    first = next(i for i, op in enumerate(ops) if op.per_layer)
+    segments = (
+        [op for op in ops if op.per_layer],
+        list(ops[:first]),
+        [op for op in ops[first:] if not op.per_layer],
+    )
+    for seg in segments:
+        if any(op.op_class is OpClass.MOE_MATMUL for op in seg):
+            if strategy.ep > model.num_experts:
+                return f"ep={strategy.ep} exceeds num_experts={model.num_experts}"
+            if model.num_experts % strategy.ep != 0:
+                return f"ep={strategy.ep} does not divide num_experts={model.num_experts}"
+        split = next(
+            (i for i, op in enumerate(seg) if op.op_class is OpClass.ROUTER), len(seg)
+        )
+        after = seg[split + 1 :]
+        walk = (
+            seg[: split + 1]
+            + [op for op in after if op.op_class is OpClass.MOE_MATMUL]
+            + [op for op in after if op.op_class is not OpClass.MOE_MATMUL]
+        )
+        for op in walk:
+            try:
+                op_layouts(op, strategy.axis_of(op.name), strategy.tp)
+            except LayoutError as err:
+                return str(err)
+    return None
+
+
+class TestGateOrder:
+    @pytest.mark.parametrize("config", ["moe_1p2t_h100", "moe_1p6t_h100", "tiny"])
+    def test_layout_verdict_follows_the_reference_walk(self, config):
+        cfg = load_config(packaged_config_path(config))
+        model = cfg.model
+        hw = dataclasses.replace(cfg.hardware, device_budget=1 << 40)
+        ops = canonical_fused_ops(model)
+        rng = np.random.default_rng(20261019)
+        degrees = (1, 2, 3, 4, 6, 8, 16, 32, 64, 128, 256, 512)
+        axes = tuple(AxisChoice)
+        verdicts = Counter()
+        for trial in range(400):
+            s = Strategy(
+                tp=int(rng.choice(degrees)),
+                ep=int(rng.choice(degrees)),
+                pp=int(rng.choice(degrees[:8])),
+                batch=int(rng.choice((1, 8, 64))),
+                op_names=tuple(op.name for op in ops),
+                # Every axis, admissible or not, with UNSHARDED weighted up
+                # so that some strategies pass the whole walk.
+                op_dims=tuple(
+                    axes[int(rng.choice(len(axes), p=(0.8, 0.1, 0.1)))] for _ in ops
+                ),
+            )
+            expected = reference_layout_verdict(model, s)
+            result = simulate(SimRequest(model, hw, s, cfg.simulation.context_len))
+            got = result.detail if result.invalid_reason is InvalidReason.LAYOUT_ERROR else None
+            assert got == expected, f"strategy {trial} differs: {s}"
+            verdicts[expected is None] += 1
+        # Both sides of the gate are exercised.
+        assert verdicts[True] and verdicts[False]
+
+    def test_a_late_layout_error_builds_no_plan_record(self, monkeypatch):
+        model = small_model()
+        built = Counter()
+        for name in ("PlanStep", "CollectiveOp"):
+            real = getattr(layout, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                built[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(layout, name, counting)
+        unsharded = {op.name: AxisChoice.UNSHARDED for op in canonical_fused_ops(model)}
+        # shared_ffn2 is the last op of the walk; 128 ffn rows do not split 3 ways.
+        late = make_strategy(model, tp=3, overrides={**unsharded, "shared_ffn2": AxisChoice.DIM0})
+        with pytest.raises(LayoutError, match="^shared_ffn2 cannot shard DIM0"):
+            plan_layer(model, layer_segment(model), late, batch_tokens=8, node_size=8)
+        assert built == Counter()
+        # The counters see a plan that does get built.
+        plan = plan_with(model, tp=4)
+        assert built["PlanStep"] == len(plan.steps)
+        assert built["CollectiveOp"] == len(plan.all_collectives())

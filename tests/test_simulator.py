@@ -349,16 +349,16 @@ class TestAccounting:
 
     def test_unsharded_large_matmul_pays_replicated_cost(self):
         from shardsearch.simulator import _op_cost
-        from shardsearch.layout import plan_layer
+        from shardsearch.layout import Segment, plan_layer
 
-        ops = tuple(op for op in canonical_fused_ops(self.model) if op.per_layer)
+        segment = Segment.of(tuple(op for op in canonical_fused_ops(self.model) if op.per_layer))
         sharded = make_strategy(self.model, tp=4)
         unsharded = make_strategy(
             self.model, tp=4,
             overrides={"qkv_proj": AxisChoice.UNSHARDED, "attn_core": AxisChoice.UNSHARDED},
         )
-        plan_s = plan_layer(self.model, ops, sharded, 8, 8)
-        plan_u = plan_layer(self.model, ops, unsharded, 8, 8)
+        plan_s = plan_layer(self.model, segment, sharded, 8, 8)
+        plan_u = plan_layer(self.model, segment, unsharded, 8, 8)
         step_s = next(s for s in plan_s.steps if s.op.name == "qkv_proj")
         step_u = next(s for s in plan_u.steps if s.op.name == "qkv_proj")
         flops_s, _ = _op_cost(step_s, self.model, sharded, 256)
@@ -367,13 +367,13 @@ class TestAccounting:
 
     def test_doubling_tp_halves_sharded_op_flops(self):
         from shardsearch.simulator import _op_cost
-        from shardsearch.layout import plan_layer
+        from shardsearch.layout import Segment, plan_layer
 
-        ops = tuple(op for op in canonical_fused_ops(self.model) if op.per_layer)
+        segment = Segment.of(tuple(op for op in canonical_fused_ops(self.model) if op.per_layer))
         costs = {}
         for tp in (2, 4):
             s = make_strategy(self.model, tp=tp)
-            plan = plan_layer(self.model, ops, s, 8, 8)
+            plan = plan_layer(self.model, segment, s, 8, 8)
             step = next(st for st in plan.steps if st.op.name == "qkv_proj")
             costs[tp] = _op_cost(step, self.model, s, 256)[0]
         assert costs[2] == 2 * costs[4]
