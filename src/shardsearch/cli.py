@@ -30,7 +30,7 @@ from .baselines import (
 from .config import ConfigError, ExperimentConfig, load_config, resolve_config_path
 from .env import SearchEnv, load_eval_log
 from .ppo import run_search
-from .simulator import SimRequest, SimResult, explain, simulate
+from .simulator import SimRequest, SimResult, explain, simulate, verdict_lines
 from .strategy import (
     AXIS_BY_NAME,
     AxisChoice,
@@ -86,12 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
         "repeatable; unnamed operators stay unsharded",
     )
     sim.add_argument("--context", type=int, help="override the config's context length")
-    sim.add_argument(
+    shown = sim.add_mutually_exclusive_group()
+    shown.add_argument(
         "--explain",
         action="store_true",
-        help="print the per-operator layout and collective trace",
+        help="after the verdict, print the per-operator layout and collective trace",
     )
-    sim.add_argument(
+    shown.add_argument(
         "--json", action="store_true", help="machine-readable result on stdout"
     )
 
@@ -149,10 +150,14 @@ def _fine_dims(
         by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
         return tuple(by_name[name] for name in space.op_names)
     chosen = {name: AxisChoice.UNSHARDED for name in space.op_names}
+    named = set()
     for flag in dim_flags or ():
         name, sep, axis_text = flag.partition("=")
         if not sep:
             raise CliError(f"--dims expects OP=AXIS, got {flag!r}")
+        if name in named:
+            raise CliError(f"--dims names operator {name!r} twice")
+        named.add(name)
         if name not in chosen:
             raise CliError(
                 f"--dims names unknown operator {name!r}; "
@@ -208,26 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif args.explain:
         print(explain(req))
     else:
-        verdict = "yes" if result.valid else (
-            f"no ({result.invalid_reason.value}"
-            + (f": {result.detail}" if result.detail else "")
-            + ")"
-        )
-        lines = [
-            f"strategy: tp={strategy.tp} ep={strategy.ep} pp={strategy.pp} "
-            f"batch={strategy.batch} world_size={strategy.world_size}",
-            f"valid: {verdict}",
-        ]
-        if result.valid:
-            lines += [
-                f"throughput: {result.throughput:.4f} tokens/s/chip",
-                f"tpot: {result.tpot_s * 1e3:.4f} ms",
-                f"memory per device: {result.memory_bytes / 1e9:.3f} GB",
-                f"breakdown: compute {result.breakdown.compute_s * 1e3:.4f} ms, "
-                f"comm {result.breakdown.comm_s * 1e3:.4f} ms, "
-                f"pipeline {result.breakdown.pipeline_s * 1e3:.4f} ms",
-            ]
-        print("\n".join(lines))
+        print("\n".join(verdict_lines(strategy, result)))
     return EXIT_OK if result.valid else EXIT_INVALID_STRATEGY
 
 

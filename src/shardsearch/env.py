@@ -9,9 +9,11 @@ current sample),
 
 while invalid strategies earn a flat configured penalty and still consume
 budget. The environment is the single bookkeeper of the run: every
-evaluation lands in an append-only log that fully reproduces the search, and
-``best_raw`` with ``best_vector`` is the run's best, the earliest maximal
-valid record of that log (``None`` and 0 while nothing was valid).
+evaluation lands in an append-only log file, the run's only record, which
+fully reproduces the search. In memory the environment keeps only the count,
+``evals_used``, and the run's best, ``best_raw`` with ``best_vector``: the
+earliest maximal valid record of that log (``None`` and 0 while nothing was
+valid).
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class SearchEnv:
     Single-writer: exactly one search loop owns an instance. When
     ``log_path`` is given, it must not exist yet: the log is created for
     this run alone, and every record is appended and flushed immediately so
-    an interrupted run still leaves a valid, replayable log.
+    an interrupted run still leaves a valid, replayable log that can be
+    read while the run is open. Without ``log_path`` no record is kept.
     """
 
     def __init__(
@@ -127,7 +130,6 @@ class SearchEnv:
         self.best_raw = 0.0
         self.best_vector: tuple[int, ...] | None = None
         self.evals_used = 0
-        self.eval_log: list[EvalRecord] = []
         self._sink: TextIO | None = None
         if log_path is not None:
             self._sink = open(log_path, "x", encoding="utf-8")
@@ -181,7 +183,6 @@ class SearchEnv:
             reason=result.invalid_reason.value,
         )
         self.evals_used += 1
-        self.eval_log.append(record)
         if self._sink is not None:
             self._sink.write(record.to_json() + "\n")
             self._sink.flush()

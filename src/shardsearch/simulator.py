@@ -343,10 +343,8 @@ def simulate(req: SimRequest) -> SimResult:
     )
 
 
-def explain(req: SimRequest) -> str:
-    """Human-readable account of one strategy: verdict, plan, and times."""
-    s = req.strategy
-    result = simulate(req)
+def verdict_lines(s: Strategy, result: SimResult) -> list[str]:
+    """A verdict as text: strategy, fine dims, validity, then what each gate it reached priced."""
     lines = [
         f"strategy: tp={s.tp} ep={s.ep} pp={s.pp} batch={s.batch} "
         f"world_size={s.world_size}",
@@ -356,10 +354,10 @@ def explain(req: SimRequest) -> str:
         + (f" ({result.invalid_reason.value}: {result.detail})" if not result.valid else ""),
     ]
     if result.invalid_reason in (InvalidReason.OVER_DEVICE_BUDGET, InvalidReason.LAYOUT_ERROR):
-        return "\n".join(lines)
+        return lines
     lines.append(f"memory per device: {result.memory_bytes / 1e9:.3f} GB")
     if result.invalid_reason is InvalidReason.OOM:
-        return "\n".join(lines)
+        return lines
     lines.append(f"tpot: {result.tpot_s * 1e3:.4f} ms")
     lines.append(
         f"breakdown: compute {result.breakdown.compute_s * 1e3:.4f} ms, "
@@ -368,6 +366,14 @@ def explain(req: SimRequest) -> str:
     )
     if result.valid:
         lines.append(f"throughput: {result.throughput:.4f} tokens/s/chip")
-    lines.append("per-layer plan:")
-    lines.extend("  " + ln for ln in result.layer_plan.describe().splitlines())
+    return lines
+
+
+def explain(req: SimRequest) -> str:
+    """Human-readable account of one strategy: the verdict, then the priced plan if any."""
+    result = simulate(req)
+    lines = verdict_lines(req.strategy, result)
+    if result.layer_plan is not None:
+        lines.append("per-layer plan:")
+        lines.extend("  " + ln for ln in result.layer_plan.describe().splitlines())
     return "\n".join(lines)

@@ -9,8 +9,10 @@ the bars share one set of runs.
 
 import dataclasses
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,13 +55,12 @@ from shardsearch.strategy import (
 
 SEEDS = range(10)
 
-# Exhaustively verified optimum of the packaged tiny workload; used where a
-# known-valid point is needed without re-enumerating.
+# An optimum of the packaged tiny workload, checked against the enumerated
+# table; used where a known-valid point is needed without re-enumerating.
 TINY_BEST_VECTOR = (1, 0, 2, 2, 1, 2, 2, 2)
-
-
-def best_valid_raw(env: SearchEnv) -> float:
-    return max((rec.raw for rec in env.eval_log if rec.valid), default=0.0)
+# The simulator's verdict on every point of the tiny space, in
+# ``itertools.product`` order; test_golden pins it against ``simulate``.
+TINY_TABLE = Path(__file__).parent / "golden" / "table-tiny-full.json"
 
 
 def make_env(cfg, budget: int, log_path=None) -> SearchEnv:
@@ -80,40 +81,30 @@ def tiny_cfg():
 
 
 @pytest.fixture(scope="module")
-def tiny_oracle(tiny_cfg):
+def tiny_table():
+    """(valid, reason, raw, tpot_s) of each of the 6561 points of tiny."""
+    return json.loads(TINY_TABLE.read_text(encoding="utf-8"))["records"]
+
+
+@pytest.fixture(scope="module")
+def tiny_oracle(tiny_table):
     """Ground-truth optimum of the fully enumerable 6561-point space."""
-    best = 0.0
-    for vector in itertools.product(range(3), repeat=tiny_cfg.space.vector_length):
-        result = simulate(
-            SimRequest(
-                model=tiny_cfg.model,
-                hw=tiny_cfg.hardware,
-                strategy=decode_strategy(vector, tiny_cfg.space),
-                context_len=tiny_cfg.simulation.context_len,
-                slo_tpot=tiny_cfg.simulation.slo_tpot,
-            )
-        )
-        if result.valid and result.throughput > best:
-            best = result.throughput
+    best = max(raw for valid, _, raw, _ in tiny_table if valid)
     assert best > 0.0
     return best
 
 
 @pytest.fixture(scope="module")
 def tiny_policy_runs(tiny_cfg):
-    """Ten seeded policy searches on the oracle instance, with wall time."""
+    """Ten seeded policy searches on the oracle instance, with wall time;
+    each seed's best is its ``(best_raw, best_vector)``."""
     bests = []
     start = time.perf_counter()
     for seed in SEEDS:
         env = make_env(tiny_cfg, tiny_cfg.ppo.budget)
         run_search(env, tiny_cfg.ppo, seed)
-        best = max(
-            (rec for rec in env.eval_log if rec.valid),
-            key=lambda rec: rec.raw,
-            default=None,
-        )
-        assert best is not None, f"seed {seed} found no valid strategy"
-        bests.append(best)
+        assert env.best_vector is not None, f"seed {seed} found no valid strategy"
+        bests.append((env.best_raw, env.best_vector))
     return {"bests": bests, "elapsed_s": time.perf_counter() - start}
 
 
@@ -134,7 +125,7 @@ def flagship_runs():
                 simulated_annealing(env, SaConfig(), budget, seed)
             else:
                 run_search(env, dataclasses.replace(cfg.ppo, budget=budget), seed)
-            bests.append(best_valid_raw(env))
+            bests.append(env.best_raw)
         out[name] = {"bests": bests, "elapsed_s": time.perf_counter() - start}
     return out
 
@@ -142,10 +133,24 @@ def flagship_runs():
 def test_small_space_search_recovers_the_enumerated_optimum(
     tiny_oracle, tiny_policy_runs
 ):
-    fractions = [rec.raw / tiny_oracle for rec in tiny_policy_runs["bests"]]
+    fractions = [raw / tiny_oracle for raw, _ in tiny_policy_runs["bests"]]
     hits = sum(1 for frac in fractions if frac >= 0.95)
     assert hits >= 8, f"only {hits}/10 seeds reached 95% of the oracle: {fractions}"
     assert tiny_policy_runs["elapsed_s"] < 120.0
+
+
+def test_tiny_best_vector_is_an_enumerated_optimum(tiny_cfg, tiny_table, tiny_oracle):
+    sizes = tiny_cfg.space.head_sizes
+    vectors = list(itertools.product(*(range(k) for k in sizes)))
+    assert len(vectors) == len(tiny_table)
+    optima = {
+        vector
+        for vector, (valid, _, raw, _) in zip(vectors, tiny_table)
+        if valid and raw == tiny_oracle
+    }
+    # The optimum ties across the embedding's shard axis alone.
+    head, tail = TINY_BEST_VECTOR[:4], TINY_BEST_VECTOR[5:]
+    assert optima == {head + (axis,) + tail for axis in range(3)}
 
 
 def test_flagship_search_beats_annealing_and_random_sampling(flagship_runs):
@@ -167,12 +172,12 @@ def test_best_found_plan_beats_the_heuristic_with_different_shard_axes(
     heuristic = make_env(tiny_cfg, len(megatron_vectors(tiny_cfg.space, ops)))
     megatron_exhaustive(heuristic)
     assert heuristic.best_vector is not None
-    winner = max(tiny_policy_runs["bests"], key=lambda rec: rec.raw)
-    assert winner.raw >= heuristic.best_raw
+    winner_raw, winner_vector = max(tiny_policy_runs["bests"], key=lambda best: best[0])
+    assert winner_raw >= heuristic.best_raw
 
     by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
     heuristic_tail = tuple(int(by_name[n]) for n in tiny_cfg.space.op_names)
-    assert tuple(winner.vector[4:]) != heuristic_tail
+    assert tuple(winner_vector[4:]) != heuristic_tail
 
 
 def test_allgather_between_ffn_matmuls_replaces_the_mlp_allreduce():
@@ -391,7 +396,8 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
     # Full runs spend the budget exactly, whether or not chunks exit early,
     # and the restart offsets trace the protocol.
     for tau, restarts in ((2.0, (0, 4, 8, 12, 16)), (1e-6, tuple(range(0, 20, 2)))):
-        env = make_env(tiny_cfg, 20)
+        tau_log = tmp_path / f"tau-{tau}.ndjson"
+        env = make_env(tiny_cfg, 20, log_path=tau_log)
         cfg = PpoConfig(budget=20, chunks=5, n_steps=2, tau=tau, width=16)
         assert run_search(env, cfg, seed=5) == restarts
         assert env.evals_used == 20
@@ -400,7 +406,7 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
         # the shaped reward (alpha = beta = 1); it must equal the running
         # best-so-far at every step, so restarts never reset it.
         running = 0.0
-        for rec in env.eval_log:
+        for rec in load_eval_log(tau_log):
             if rec.valid:
                 baseline_used = 2.0 * rec.raw - rec.reward
                 assert baseline_used == pytest.approx(running, rel=1e-9, abs=1e-9)
@@ -421,7 +427,7 @@ def test_chunk_protocol_restarts_budget_accounting_and_replay(tiny_cfg, tmp_path
         assert record.raw == (result.throughput if result.valid else 0.0)
 
 
-def test_reward_shaping_substitution_cases(tiny_cfg):
+def test_reward_shaping_substitution_cases(tiny_cfg, tmp_path):
     def stub(raw=None, reason=InvalidReason.NONE):
         valid = raw is not None
         return SimResult(
@@ -434,7 +440,8 @@ def test_reward_shaping_substitution_cases(tiny_cfg):
         )
 
     action = (0,) * tiny_cfg.space.vector_length
-    env = make_env(tiny_cfg, 3)
+    log_path = tmp_path / "evals.ndjson"
+    env = make_env(tiny_cfg, 3, log_path=log_path)
     env.reward_cfg = RewardConfig(alpha=1.0, beta=1.0, invalid_penalty=-10.0)
 
     # Improvement: shaped reward adds the bonus, then the baseline moves.
@@ -454,4 +461,4 @@ def test_reward_shaping_substitution_cases(tiny_cfg):
     assert env.step(action) == (-10.0, 0.0, False)
     assert env.best_raw == 8.0
     assert env.evals_used == 3
-    assert env.eval_log[-1].reason == "oom"
+    assert load_eval_log(log_path)[-1].reason == "oom"

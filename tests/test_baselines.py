@@ -14,7 +14,7 @@ from shardsearch.baselines import (
     simulated_annealing,
     uniform_vector,
 )
-from shardsearch.env import RewardConfig, SearchEnv
+from shardsearch.env import RewardConfig, SearchEnv, load_eval_log
 from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.simulator import SimRequest, simulate
 from shardsearch.strategy import (
@@ -71,7 +71,7 @@ def small_space():
     )
 
 
-def make_env(budget=16, hw=None):
+def make_env(budget=16, hw=None, log_path=None):
     return SearchEnv(
         model=small_model(),
         hw=hw or small_hw(),
@@ -79,6 +79,7 @@ def make_env(budget=16, hw=None):
         context_len=256,
         budget=budget,
         reward=RewardConfig(),
+        log_path=log_path,
     )
 
 
@@ -204,26 +205,28 @@ class TestAcceptanceRule:
 
 
 class TestRandomWalk:
-    def test_budget_one_report(self):
-        env = make_env(budget=4)
+    def test_budget_one_report(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env = make_env(budget=4, log_path=log)
         assert random_walk(env, budget=1, seed=0) is None
         assert env.evals_used == 1
-        (only,) = env.eval_log
+        (only,) = load_eval_log(log)
         assert env.best_vector == (only.vector if only.valid else None)
         assert env.best_raw == only.raw
 
-    def test_same_seed_same_sequence(self):
+    def test_same_seed_same_sequence(self, tmp_path):
         vectors = []
-        for _ in range(2):
-            env = make_env(budget=12)
-            random_walk(env, budget=12, seed=9)
-            vectors.append([r.vector for r in env.eval_log])
+        for name in ("a", "b"):
+            log = tmp_path / name
+            random_walk(make_env(budget=12, log_path=log), budget=12, seed=9)
+            vectors.append([r.vector for r in load_eval_log(log)])
         assert vectors[0] == vectors[1]
 
-    def test_report_best_matches_log_argmax(self):
-        env = make_env(budget=24)
+    def test_report_best_matches_log_argmax(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env = make_env(budget=24, log_path=log)
         random_walk(env, budget=24, seed=3)
-        best = max((r for r in env.eval_log if r.valid), key=lambda r: r.raw)
+        best = max((r for r in load_eval_log(log) if r.valid), key=lambda r: r.raw)
         assert env.best_raw == best.raw
         assert env.best_vector == best.vector
 
@@ -234,20 +237,21 @@ class TestSimulatedAnnealing:
         simulated_annealing(env, SaConfig(), budget=30, seed=0)
         assert env.evals_used == 30
 
-    def test_same_seed_reproducible(self):
+    def test_same_seed_reproducible(self, tmp_path):
         logs = []
-        for _ in range(2):
-            env = make_env(budget=20)
-            simulated_annealing(env, SaConfig(), budget=20, seed=5)
-            logs.append([r.vector for r in env.eval_log])
+        for name in ("a", "b"):
+            log = tmp_path / name
+            simulated_annealing(make_env(budget=20, log_path=log), SaConfig(), budget=20, seed=5)
+            logs.append([r.vector for r in load_eval_log(log)])
         assert logs[0] == logs[1]
 
-    def test_reports_best_valid_raw_ever_seen(self):
+    def test_reports_best_valid_raw_ever_seen(self, tmp_path):
         # Seed 1 finds nothing valid in 20 proposals; seed 3 finds 12.
         for seed in (1, 3):
-            env = make_env(budget=20)
+            log = tmp_path / f"seed_{seed}"
+            env = make_env(budget=20, log_path=log)
             simulated_annealing(env, SaConfig(), budget=20, seed=seed)
-            valid = [r for r in env.eval_log if r.valid]
+            valid = [r for r in load_eval_log(log) if r.valid]
             best = max(valid, key=lambda r: r.raw) if valid else None
             assert env.best_raw == (best.raw if best else 0.0)
             assert env.best_vector == (best.vector if best else None)
@@ -270,26 +274,28 @@ class TestSimulatedAnnealing:
 class TestMegatronExhaustive:
     GRID = 3 * 3 * 3 * 3
 
-    def sweep(self, hw=None):
-        env = make_env(budget=self.GRID, hw=hw)
+    def sweep(self, hw=None, log_path=None):
+        env = make_env(budget=self.GRID, hw=hw, log_path=log_path)
         megatron_exhaustive(env)
         return env
 
-    def test_grid_size_and_pinned_tails(self):
+    def test_grid_size_and_pinned_tails(self, tmp_path):
         space = small_space()
         ops = canonical_fused_ops(small_model())
         vectors = megatron_vectors(space, ops)
         assert len(vectors) == self.GRID
-        env = self.sweep()
+        log = tmp_path / "evals.ndjson"
+        env = self.sweep(log_path=log)
         assert env.evals_used == self.GRID
-        assert [r.vector for r in env.eval_log] == vectors
+        assert [r.vector for r in load_eval_log(log)] == vectors
         fine = tuple(int(d) for d in megatron_fine_dims(ops))
         assert {v[4:] for v in vectors} == {fine}
         assert env.best_vector[4:] == fine
 
-    def test_winner_is_best_valid_by_raw_reverified(self):
+    def test_winner_is_best_valid_by_raw_reverified(self, tmp_path):
         space = small_space()
-        env = self.sweep()
+        log = tmp_path / "evals.ndjson"
+        env = self.sweep(log_path=log)
         # Re-simulate the winner directly; its raw must equal the env's best.
         strategy = decode_strategy(env.best_vector, space)
         result = simulate(
@@ -304,12 +310,14 @@ class TestMegatronExhaustive:
         assert result.valid
         assert result.throughput == env.best_raw
         # And nothing on the grid beats it.
-        assert env.best_raw == max(r.raw for r in env.eval_log if r.valid)
+        assert env.best_raw == max(r.raw for r in load_eval_log(log) if r.valid)
 
-    def test_deterministic_across_calls(self):
-        a, b = self.sweep(), self.sweep()
+    def test_deterministic_across_calls(self, tmp_path):
+        a = self.sweep(log_path=tmp_path / "a")
+        b = self.sweep(log_path=tmp_path / "b")
         assert a.best_vector == b.best_vector
-        assert [r.raw for r in a.eval_log] == [r.raw for r in b.eval_log]
+        raws = [[r.raw for r in load_eval_log(tmp_path / name)] for name in "ab"]
+        assert raws[0] == raws[1]
 
     def test_zero_valid_configurations_is_an_error(self):
         oom = small_hw(hbm_capacity=1e4)

@@ -115,7 +115,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 2
-        assert "valid: no (over_device_budget" in out
+        assert "valid: False (over_device_budget" in out
 
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         text = packaged_config_path("tiny").read_text(encoding="utf-8")
@@ -147,6 +147,15 @@ class TestSimulate:
         assert code == 1
         assert "dim2" in err
 
+    def test_dims_rejects_an_operator_named_twice(self, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--config", "tiny", "--tp", "1", "--ep", "1", "--pp", "1",
+             "--batch", "1", "--dims", "qkv_proj=dim1", "--dims", "qkv_proj=dim0"],
+            capsys,
+        )
+        assert code == 1
+        assert "'qkv_proj' twice" in err
+
     def test_megatron_and_dims_are_mutually_exclusive(self, capsys):
         code, _, err = run_cli(
             ["simulate", "--config", "tiny", "--tp", "1", "--ep", "1",
@@ -155,6 +164,43 @@ class TestSimulate:
         )
         assert code == 1
         assert "not allowed with" in err
+
+    def test_json_and_explain_are_mutually_exclusive(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--config", "tiny", "--tp", "1", "--ep", "1",
+             "--pp", "1", "--batch", "1", "--json", "--explain"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--explain: not allowed with argument --json" in err
+
+    @pytest.mark.parametrize(
+        "reason,argv",
+        [
+            ("over_device_budget", ["--config", "tiny", "--tp", "4", "--ep", "4", "--pp", "4",
+                                    "--batch", "16"]),
+            ("oom", ["--config", "tiny", "--tp", "1", "--ep", "1", "--pp", "1",
+                     "--batch", "16"]),
+            ("none", ["--config", "tiny", "--tp", "2", "--ep", "1", "--pp", "4",
+                      "--batch", "16", "--megatron"]),
+            # A point of the 1.2T config's Megatron grid over the tpot SLO.
+            ("slo_violation", ["--config", "moe_1p2t_h100", "--tp", "1", "--ep", "1",
+                               "--pp", "32", "--batch", "2", "--megatron"]),
+            ("layout_error", ["--config", "moe_1p2t_h100", "--tp", "1", "--ep", "1",
+                              "--pp", "1", "--batch", "1", "--dims", "kv_cache_io=dim1"]),
+        ],
+    )
+    def test_plain_output_is_the_explain_header(self, reason, argv, capsys):
+        code, plain, _ = run_cli(["simulate", *argv], capsys)
+        explain_code, explained, _ = run_cli(["simulate", *argv, "--explain"], capsys)
+        assert code == explain_code == (0 if reason == "none" else 2)
+        assert plain.splitlines()[2].startswith(
+            "valid: True" if reason == "none" else f"valid: False ({reason}: "
+        )
+        header, _, plan = explained.partition("per-layer plan:\n")
+        assert plain == header
+        assert bool(plan) == (reason in ("none", "slo_violation"))
 
     def test_explain_prints_per_op_trace(self, capsys):
         code, out, _ = run_cli(
@@ -182,7 +228,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 0
-        assert "valid: yes" in out
+        assert "valid: True" in out
 
     def test_missing_config_is_a_tool_error(self, capsys, monkeypatch):
         monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)

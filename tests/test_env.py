@@ -4,6 +4,8 @@ import functools
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -151,15 +153,16 @@ class TestStep:
         assert r_ok == pytest.approx(raw_ok + (raw_ok - raw_good))
         assert env.best_raw == raw_good  # no update on a worse sample
 
-    def test_invalid_strategy_penalized_and_budget_consumed(self):
-        env_small = make_env(hw=small_hw(hbm_capacity=1e4))  # everything OOMs
+    def test_invalid_strategy_penalized_and_budget_consumed(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env_small = make_env(hw=small_hw(hbm_capacity=1e4), log_path=log)  # everything OOMs
         reward, raw, valid = env_small.step(megatron_vector(env_small.space))
         assert not valid
         assert raw == 0.0
         assert reward == env_small.reward_cfg.invalid_penalty
         assert env_small.best_raw == 0.0
         assert env_small.evals_used == 1
-        assert env_small.eval_log[0].reason == "oom"
+        assert load_eval_log(log)[0].reason == "oom"
 
     def test_budget_exhaustion_signals(self):
         env = make_env(budget=2)
@@ -185,13 +188,14 @@ class TestStep:
             seen.append(env.best_raw)
         assert seen == sorted(seen)
 
-    def test_evals_used_equals_step_calls(self):
-        env = make_env(budget=10)
+    def test_evals_used_equals_step_calls(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env = make_env(budget=10, log_path=log)
         vec = megatron_vector(env.space, tp=2, batch=4)
         for _ in range(7):
             env.step(vec)
         assert env.evals_used == 7
-        assert len(env.eval_log) == 7
+        assert len(load_eval_log(log)) == 7
 
 
 def earliest_best(records):
@@ -218,13 +222,14 @@ class TestSelection:
     """The env keeps the run's best in ``best_raw`` and ``best_vector``: the
     best valid record by raw throughput, earliest on ties."""
 
-    def test_argmax_by_raw(self):
-        env = make_env()
+    def test_argmax_by_raw(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env = make_env(log_path=log)
         lo = megatron_vector(env.space, tp=2, batch=16)
         hi = megatron_vector(env.space, tp=1, batch=16)
         env.step(lo)
         env.step(hi)  # higher raw, but lower reward: lo raised the baseline
-        first, second = env.eval_log
+        first, second = load_eval_log(log)
         assert second.raw > first.raw and second.reward < first.reward
         assert env.best_vector == hi
         assert env.best_raw == second.raw
@@ -240,11 +245,12 @@ class TestSelection:
         assert env.best_vector == b
         assert env.best_raw == 5.0
 
-    def test_all_invalid_has_no_best_vector(self):
-        env = make_env(hw=small_hw(hbm_capacity=1e4))
+    def test_all_invalid_has_no_best_vector(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env = make_env(hw=small_hw(hbm_capacity=1e4), log_path=log)
         env.step(megatron_vector(env.space, tp=1, batch=1))
         env.step(megatron_vector(env.space, tp=1, batch=4))
-        assert not any(r.valid for r in env.eval_log)
+        assert not any(r.valid for r in load_eval_log(log))
         assert env.best_vector is None
         assert env.best_raw == 0.0
         assert env.evals_used == 2
@@ -264,18 +270,21 @@ class TestSelection:
                 max_size=40,
             )
         )
-        env = SearchEnv(
-            cfg.model,
-            cfg.hardware,
-            cfg.space,
-            context_len=cfg.simulation.context_len,
-            budget=len(vectors),
-            reward=cfg.reward,
-            slo_tpot=cfg.simulation.slo_tpot,
-        )
-        for vector in vectors:
-            env.step(vector)
-        best = earliest_best(env.eval_log)
+        with tempfile.TemporaryDirectory() as work:
+            log = Path(work) / "evals.ndjson"
+            with SearchEnv(
+                cfg.model,
+                cfg.hardware,
+                cfg.space,
+                context_len=cfg.simulation.context_len,
+                budget=len(vectors),
+                reward=cfg.reward,
+                slo_tpot=cfg.simulation.slo_tpot,
+                log_path=log,
+            ) as env:
+                for vector in vectors:
+                    env.step(vector)
+            best = earliest_best(load_eval_log(log))
         assert env.best_vector == (None if best is None else best.vector)
         assert env.best_raw == (0.0 if best is None else best.raw)
 
@@ -284,12 +293,14 @@ class TestEvalLog:
     def test_stream_and_replay_bit_for_bit(self, tmp_path):
         log = tmp_path / "evals.ndjson"
         env = make_env(budget=8, log_path=log)
-        for tp, batch in [(1, 4), (2, 16), (4, 16), (2, 1)]:
+        steps = [
             env.step(megatron_vector(env.space, tp=tp, batch=batch))
+            for tp, batch in [(1, 4), (2, 16), (4, 16), (2, 1)]
+        ]
         env.close()
         records = load_eval_log(log)
         assert [r.index for r in records] == [0, 1, 2, 3]
-        assert records == env.eval_log
+        assert [(r.reward, r.raw, r.valid) for r in records] == steps
         for record in records:
             result = env.evaluate_raw(decode_strategy(record.vector, env.space))
             recomputed = result.throughput if result.valid else 0.0

@@ -45,7 +45,7 @@ import pytest
 
 from shardsearch.cli import main
 from shardsearch.config import load_config, packaged_config_path
-from shardsearch.env import SearchEnv
+from shardsearch.env import SearchEnv, load_eval_log
 from shardsearch.ppo import run_search
 from shardsearch.simulator import SimRequest, explain, simulate
 from shardsearch.strategy import (
@@ -85,17 +85,21 @@ def golden_path(config: str, seed: int) -> Path:
 
 def search_records(config: str, seed: int) -> list[list]:
     cfg = load_config(packaged_config_path(config))
-    env = SearchEnv(
-        cfg.model,
-        cfg.hardware,
-        cfg.space,
-        context_len=cfg.simulation.context_len,
-        budget=BUDGET,
-        reward=cfg.reward,
-        slo_tpot=cfg.simulation.slo_tpot,
-    )
-    run_search(env, dataclasses.replace(cfg.ppo, budget=BUDGET), seed=seed)
-    return [[list(r.vector), r.valid, r.reason, r.raw] for r in env.eval_log]
+    with tempfile.TemporaryDirectory() as work:
+        log = Path(work) / "evals.ndjson"
+        with SearchEnv(
+            cfg.model,
+            cfg.hardware,
+            cfg.space,
+            context_len=cfg.simulation.context_len,
+            budget=BUDGET,
+            reward=cfg.reward,
+            slo_tpot=cfg.simulation.slo_tpot,
+            log_path=log,
+        ) as env:
+            run_search(env, dataclasses.replace(cfg.ppo, budget=BUDGET), seed=seed)
+        records = load_eval_log(log)
+    return [[list(r.vector), r.valid, r.reason, r.raw] for r in records]
 
 
 def table_path(config: str, grid: str) -> Path:

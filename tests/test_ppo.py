@@ -21,7 +21,7 @@ import pytest
 
 import shardsearch.ppo as ppo_module
 from shardsearch.cli import main
-from shardsearch.env import BudgetExhausted, RewardConfig, SearchEnv
+from shardsearch.env import BudgetExhausted, RewardConfig, SearchEnv, load_eval_log
 from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.policy import (
     EliteBuffer,
@@ -87,7 +87,7 @@ def small_space():
     )
 
 
-def make_env(budget=64):
+def make_env(budget=64, log_path=None):
     return SearchEnv(
         model=small_model(),
         hw=small_hw(),
@@ -95,6 +95,7 @@ def make_env(budget=64):
         context_len=256,
         budget=budget,
         reward=RewardConfig(),
+        log_path=log_path,
     )
 
 
@@ -382,13 +383,14 @@ class TestCollect:
             collect(env, policy, EliteBuffer(3), 2, np.random.default_rng(0))
         assert env.evals_used == 1  # the spent eval stays spent
 
-    def test_forward_pass_is_reused_until_the_buffer_changes(self, forward_calls):
-        env = make_env(budget=10)
+    def test_forward_pass_is_reused_until_the_buffer_changes(self, forward_calls, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env = make_env(budget=10, log_path=log)
         policy = make_policy()
         force_one_hot(policy, (0,) * 16)
         buf = EliteBuffer(3)
         batch = collect(env, policy, buf, 3, np.random.default_rng(2))
-        assert all(record.valid for record in env.eval_log)
+        assert all(record.valid for record in load_eval_log(log))
         # Step 0 fills the empty buffer; steps 1 and 2 repeat its vector,
         # which the buffer rejects, so only step 1 needs a new pass.
         assert forward_calls == {"forward": 2, "observation": 2}
@@ -398,7 +400,8 @@ class TestCollect:
         assert batch[1].forward[0] is batch[2].forward[0]
         np.testing.assert_array_equal(batch[1].obs, build_observation(buf, policy.space))
 
-    def test_an_unchanged_buffer_costs_one_forward_pass_per_batch(self, forward_calls):
+    def test_an_unchanged_buffer_costs_one_forward_pass_per_batch(self, forward_calls, tmp_path):
+        log = tmp_path / "evals.ndjson"
         env = SearchEnv(
             model=small_model(),
             hw=HardwareSpec(**{**vars(small_hw()), "hbm_capacity": 1e4}),
@@ -406,9 +409,10 @@ class TestCollect:
             context_len=256,
             budget=8,
             reward=RewardConfig(),
+            log_path=log,
         )
         batch = collect(env, make_policy(seed=1), EliteBuffer(3), 8, np.random.default_rng(1))
-        assert not any(record.valid for record in env.eval_log)
+        assert not any(record.valid for record in load_eval_log(log))
         assert forward_calls == {"forward": 1, "observation": 1}
         assert all(sample.obs is batch[0].obs for sample in batch)
 
@@ -688,12 +692,13 @@ class TestRunChunk:
 
 
 class TestRunSearch:
-    def test_no_early_exit_spends_budget_in_five_chunks(self):
-        env = make_env(budget=20)
+    def test_no_early_exit_spends_budget_in_five_chunks(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env = make_env(budget=20, log_path=log)
         restarts = run_search(env, small_cfg(tau=2.0), seed=0)
         assert env.evals_used == 20
         assert restarts == (0, 4, 8, 12, 16)
-        assert len(env.eval_log) == 20
+        assert len(load_eval_log(log)) == 20
 
     def test_early_exits_roll_budget_forward_and_still_spend_all(self):
         # tau far below any reachable confidence: every chunk exits after one
@@ -717,14 +722,14 @@ class TestRunSearch:
         run_search(env, small_cfg(tau=1e-6), seed=2)
         assert all(a <= b for a, b in zip(baselines, baselines[1:]))
 
-    def test_same_seed_reproduces_everything_but_the_clock(self):
+    def test_same_seed_reproduces_everything_but_the_clock(self, tmp_path):
         restarts, envs = [], []
-        for _ in range(2):
-            env = make_env(budget=20)
-            restarts.append(run_search(env, small_cfg(), seed=7))
+        for name in ("a", "b"):
+            with make_env(budget=20, log_path=tmp_path / name) as env:
+                restarts.append(run_search(env, small_cfg(), seed=7))
             envs.append(env)
         a, b = envs
-        assert a.eval_log == b.eval_log
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
         assert a.best_vector == b.best_vector
         assert a.best_raw == b.best_raw
         assert restarts[0] == restarts[1]
@@ -776,11 +781,12 @@ class TestForwardPasses:
 
 
 class TestSearchReport:
-    def test_best_so_far_curve_is_non_decreasing(self):
-        env = make_env(budget=20)
+    def test_best_so_far_curve_is_non_decreasing(self, tmp_path):
+        log = tmp_path / "evals.ndjson"
+        env = make_env(budget=20, log_path=log)
         run_search(env, small_cfg(), seed=4)
         # The curve `report` draws: a running max of the log's raws.
-        curve = list(itertools.accumulate((r.raw for r in env.eval_log), max))
+        curve = list(itertools.accumulate((r.raw for r in load_eval_log(log)), max))
         assert len(curve) == 20
         assert all(a <= b for a, b in zip(curve, curve[1:]))
         assert curve[-1] == env.best_raw
