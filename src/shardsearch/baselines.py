@@ -42,7 +42,6 @@ class SaConfig:
     """Simulated-annealing knobs."""
 
     t_initial: float = 100.0
-    neighbor_moves: int = 1
 
     def __post_init__(self) -> None:
         check_fields("sa", self)
@@ -66,34 +65,22 @@ def _mutable_heads(sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def mutate_vector(
-    vector: tuple[int, ...],
-    space: ActionSpaceSpec,
-    rng: np.random.Generator,
-    moves: int = 1,
+    vector: tuple[int, ...], space: ActionSpaceSpec, rng: np.random.Generator
 ) -> tuple[int, ...]:
-    """Change ``moves`` distinct coordinates, each to a different value.
+    """Change one coordinate to a different value.
 
-    Single-choice heads cannot change and are never picked; if every head is
-    single-choice the vector is returned unchanged. The coordinates are
-    ``rng.choice(len(mutable), size=min(moves, len(mutable)), replace=False)``;
-    a single move draws its coordinate with ``rng.integers(len(mutable))``,
-    which consumes the generator the same way.
+    The coordinate is ``rng.integers(len(mutable))`` over the heads with more
+    than one choice; if every head is single-choice the vector is returned
+    unchanged. The new value is uniform over the head's other values.
     """
     sizes = space.head_sizes
     mutable = _mutable_heads(sizes)
     if not mutable:
         return vector
-    if moves == 1:
-        picks = (rng.integers(len(mutable)),)
-    else:
-        picks = rng.choice(len(mutable), size=min(moves, len(mutable)), replace=False)
+    coord = mutable[rng.integers(len(mutable))]
+    drawn = int(rng.integers(sizes[coord] - 1))
     out = list(vector)
-    for pick in picks:
-        coord = mutable[pick]
-        k = sizes[coord]
-        # Uniform over the k-1 values that differ from the current one.
-        drawn = int(rng.integers(k - 1))
-        out[coord] = drawn if drawn < out[coord] else drawn + 1
+    out[coord] = drawn if drawn < out[coord] else drawn + 1
     return tuple(out)
 
 
@@ -129,7 +116,7 @@ def simulated_annealing(env: SearchEnv, cfg: SaConfig, budget: int, seed: int) -
     current_reward, _, _ = env.step(current)
     for step in range(1, budget):
         temperature = cosine_decay(cfg.t_initial, step / budget)
-        candidate = mutate_vector(current, env.space, rng, cfg.neighbor_moves)
+        candidate = mutate_vector(current, env.space, rng)
         candidate_reward, _, _ = env.step(candidate)
         delta = candidate_reward - current_reward
         if rng.random() < acceptance_probability(delta, temperature):

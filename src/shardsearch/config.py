@@ -56,22 +56,17 @@ class ExperimentConfig:
     sa: SaConfig
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return value
-
-
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{path} must be a string, got {value!r}")
     return value
 
 
-def _as_int_tuple(value: Any, path: str) -> tuple[int, ...]:
+def _as_tuple(value: Any, path: str) -> tuple[Any, ...]:
+    # A list check first: tuple() of a string would split it into characters.
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path} must be a list of integers, got {value!r}")
-    return tuple(_as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(value)
 
 
 def _as_axis(value: Any, path: str) -> AxisChoice:
@@ -132,7 +127,7 @@ def _parse_space(section: Mapping[str, Any], model: ModelSpec) -> ActionSpaceSpe
     kwargs: dict[str, Any] = {}
     for key, field in (("tp", "tp_domain"), ("ep", "ep_domain"), ("pp", "pp_domain"), ("batch", "batch_domain")):
         if key in section:
-            kwargs[field] = _as_int_tuple(section[key], f"action_space.{key}")
+            kwargs[field] = _as_tuple(section[key], f"action_space.{key}")
 
     # The searched operators default to all of the model's own operators.
     raw_ops = section.get("ops", "all")

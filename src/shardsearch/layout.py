@@ -287,11 +287,11 @@ def plan_layer(
     # Linear prefix: everything up to the router feeds the next op directly.
     for resolved in prefix:
         walker.run_op(*resolved)
-        if resolved[0].name == "attn_out_proj":
-            # Residual add and the following norm consume full activations.
-            walker.reconcile(_R, "attention residual")
 
     if router:
+        # The prefix ends the attention block: its residual add and the
+        # following norm consume full activations.
+        walker.reconcile(_R, "attention residual")
         walker.run_op(*router[0])
 
         # Routed branch. Dispatch scatters each token to its experts across

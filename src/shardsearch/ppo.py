@@ -179,17 +179,11 @@ class Adam:
     """
 
     BLOCK = 1 << 15
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
-    def __init__(
-        self,
-        params: np.ndarray,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: np.ndarray) -> None:
         self.step_count = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -206,8 +200,8 @@ class Adam:
         gradient afterwards.
         """
         self.step_count += 1
-        bias1 = 1.0 - self.beta1**self.step_count
-        bias2 = 1.0 - self.beta2**self.step_count
+        bias1 = 1.0 - self.BETA1**self.step_count
+        bias2 = 1.0 - self.BETA2**self.step_count
         step = (params, grad, lr, bias1, bias2)
         if self._split is None:
             self._steps(*step, 0, params.size, self._scratch[0])
@@ -240,18 +234,18 @@ class Adam:
             m = self.m[lo:hi]
             v = self.v[lo:hi]
             t = scratch[: hi - lo]
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=t)
+            v *= self.BETA2
+            np.multiply(1.0 - self.BETA2, g, out=t)
             t *= g
             v += t
-            m *= self.beta1
-            g *= 1.0 - self.beta1
+            m *= self.BETA1
+            g *= 1.0 - self.BETA1
             m += g
             np.divide(m, bias1, out=g)
             g *= lr
             np.divide(v, bias2, out=t)
             np.sqrt(t, out=t)
-            t += self.eps
+            t += self.EPS
             g /= t
             params[lo:hi] -= g
 

@@ -306,19 +306,14 @@ def simulate(req: SimRequest) -> SimResult:
     tpot = breakdown.total_s
 
     # Slowest stage cycle bounds steady-state throughput. The first stage
-    # carries the embedding, the last the head; senders absorb their hop.
+    # carries the embedding, the last the head; senders absorb their hop. A
+    # middle stage, stage_body + hop_s, never exceeds the first.
     stage_body = layers_per_stage * (layer_c + layer_m)
-    cycles = []
-    for stage in range(s.pp):
-        cycle = stage_body
-        if stage == 0:
-            cycle += pre_c + pre_m
-        if stage == s.pp - 1:
-            cycle += post_c + post_m
-        else:
-            cycle += hop_s
-        cycles.append(cycle)
-    max_cycle = max(cycles)
+    first = stage_body + (pre_c + pre_m)
+    if s.pp == 1:
+        max_cycle = first + (post_c + post_m)
+    else:
+        max_cycle = max(first + hop_s, stage_body + (post_c + post_m))
     throughput = s.batch / max_cycle / s.world_size
 
     if tpot > req.slo_tpot:

@@ -96,6 +96,11 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="'ppo.learning_rate'"):
             parse_config(doc)
 
+    def test_sa_takes_no_neighbor_moves(self):
+        doc = minimal_doc(sa={"neighbor_moves": 2})
+        with pytest.raises(ConfigError, match="'sa.neighbor_moves'"):
+            parse_config(doc)
+
     def test_missing_required_key_named(self):
         doc = minimal_doc()
         del doc["model"]["num_layers"]
@@ -243,6 +248,8 @@ class TestActionSpaceSection:
             ("ops", [], "action_space.ops must not be empty"),
             ("ops", ["lm_head", "lm_head"], "action_space.ops entries must be unique"),
             ("pins", {"lm_head": "dim1"}, "action_space.pins must not repeat"),
+            ("tp", [1, "x"], "action_space.tp entries must be positive integers"),
+            ("tp", [True], "action_space.tp entries must be positive integers"),
         ],
     )
     def test_space_errors_name_the_config_key(self, key, value, message):

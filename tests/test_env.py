@@ -19,7 +19,6 @@ from shardsearch.env import (
     SearchEnv,
     load_eval_log,
 )
-from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.simulator import InvalidReason, SimResult, TimeBreakdown
 from shardsearch.strategy import (
     ActionSpaceSpec,
@@ -30,48 +29,7 @@ from shardsearch.strategy import (
     decode_strategy,
 )
 
-
-def small_model():
-    return ModelSpec(
-        name="unit",
-        num_layers=4,
-        hidden_dim=256,
-        num_heads=8,
-        head_dim=32,
-        num_kv_heads=4,
-        ffn_dim=128,
-        num_experts=8,
-        experts_per_token=2,
-        has_shared_expert=True,
-        vocab_size=4096,
-        dtype_bytes=2,
-    )
-
-
-def small_hw(**overrides):
-    base = dict(
-        name="bare",
-        peak_flops=1e15,
-        hbm_bandwidth=3e12,
-        hbm_capacity=8e10,
-        intra_node_bw=9e11,
-        inter_node_bw=5e10,
-        node_size=8,
-        device_budget=64,
-        kernel_overhead=0.0,
-        per_collective_latency=0.0,
-    )
-    base.update(overrides)
-    return HardwareSpec(**base)
-
-
-def small_space():
-    return ActionSpaceSpec(
-        tp_domain=(1, 2, 4),
-        ep_domain=(1, 2, 4),
-        pp_domain=(1, 2, 4),
-        batch_domain=(1, 4, 16),
-    )
+from small_specs import small_hw, small_model, small_space
 
 
 @functools.cache

@@ -17,7 +17,6 @@ from shardsearch.layout import (
     op_layouts,
     plan_layer,
 )
-from shardsearch.model import ModelSpec
 from shardsearch.simulator import InvalidReason, SimRequest, simulate
 from shardsearch.strategy import (
     AxisChoice,
@@ -27,23 +26,7 @@ from shardsearch.strategy import (
     megatron_fine_dims,
 )
 
-def small_model(**overrides):
-    base = dict(
-        name="unit",
-        num_layers=4,
-        hidden_dim=256,
-        num_heads=8,
-        head_dim=32,
-        num_kv_heads=4,
-        ffn_dim=128,
-        num_experts=8,
-        experts_per_token=2,
-        has_shared_expert=True,
-        vocab_size=4096,
-        dtype_bytes=2,
-    )
-    base.update(overrides)
-    return ModelSpec(**base)
+from small_specs import small_model
 
 
 def make_strategy(model, tp=4, ep=1, pp=1, batch=8, overrides=None):

@@ -22,7 +22,6 @@ import pytest
 import shardsearch.ppo as ppo_module
 from shardsearch.cli import main
 from shardsearch.env import BudgetExhausted, RewardConfig, SearchEnv, load_eval_log
-from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.policy import (
     EliteBuffer,
     NumericsError,
@@ -43,48 +42,9 @@ from shardsearch.ppo import (
     run_chunk,
     run_search,
 )
-from shardsearch.strategy import ActionSpaceSpec, canonical_fused_ops
+from shardsearch.strategy import canonical_fused_ops
 
-
-def small_model():
-    return ModelSpec(
-        name="unit",
-        num_layers=4,
-        hidden_dim=256,
-        num_heads=8,
-        head_dim=32,
-        num_kv_heads=4,
-        ffn_dim=128,
-        num_experts=8,
-        experts_per_token=2,
-        has_shared_expert=True,
-        vocab_size=4096,
-        dtype_bytes=2,
-    )
-
-
-def small_hw():
-    return HardwareSpec(
-        name="bare",
-        peak_flops=1e15,
-        hbm_bandwidth=3e12,
-        hbm_capacity=8e10,
-        intra_node_bw=9e11,
-        inter_node_bw=5e10,
-        node_size=8,
-        device_budget=64,
-        kernel_overhead=0.0,
-        per_collective_latency=0.0,
-    )
-
-
-def small_space():
-    return ActionSpaceSpec(
-        tp_domain=(1, 2, 4),
-        ep_domain=(1, 2, 4),
-        pp_domain=(1, 2, 4),
-        batch_domain=(1, 4, 16),
-    )
+from small_specs import small_hw, small_model, small_space
 
 
 def make_env(budget=64, log_path=None):
@@ -342,18 +302,7 @@ class TestCollect:
         assert env.evals_used == 2
 
     def test_invalid_samples_keep_penalty_and_stay_out_of_elites(self):
-        oom_hw = HardwareSpec(
-            name="bare",
-            peak_flops=1e15,
-            hbm_bandwidth=3e12,
-            hbm_capacity=1e4,  # nothing fits: every strategy is invalid
-            intra_node_bw=9e11,
-            inter_node_bw=5e10,
-            node_size=8,
-            device_budget=64,
-            kernel_overhead=0.0,
-            per_collective_latency=0.0,
-        )
+        oom_hw = small_hw(hbm_capacity=1e4)  # nothing fits: every strategy is invalid
         env = SearchEnv(
             model=small_model(),
             hw=oom_hw,
@@ -404,7 +353,7 @@ class TestCollect:
         log = tmp_path / "evals.ndjson"
         env = SearchEnv(
             model=small_model(),
-            hw=HardwareSpec(**{**vars(small_hw()), "hbm_capacity": 1e4}),
+            hw=small_hw(hbm_capacity=1e4),
             space=small_space(),
             context_len=256,
             budget=8,

@@ -13,7 +13,7 @@ from shardsearch.layout import (
     Interconnect,
 )
 from shardsearch import simulator
-from shardsearch.model import HardwareSpec, ModelSpec
+from shardsearch.model import HardwareSpec
 from shardsearch.simulator import (
     InvalidReason,
     SimRequest,
@@ -30,24 +30,7 @@ from shardsearch.strategy import (
     megatron_fine_dims,
 )
 
-
-def small_model(**overrides):
-    base = dict(
-        name="unit",
-        num_layers=4,
-        hidden_dim=256,
-        num_heads=8,
-        head_dim=32,
-        num_kv_heads=4,
-        ffn_dim=128,
-        num_experts=8,
-        experts_per_token=2,
-        has_shared_expert=True,
-        vocab_size=4096,
-        dtype_bytes=2,
-    )
-    base.update(overrides)
-    return ModelSpec(**base)
+from small_specs import small_model
 
 
 def bare_hw(**overrides):
