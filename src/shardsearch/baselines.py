@@ -27,6 +27,7 @@ from .model import check_fields
 from .ppo import cosine_decay
 from .strategy import (
     ActionSpaceSpec,
+    AxisChoice,
     FusedOpDescriptor,
     canonical_fused_ops,
     megatron_fine_dims,
@@ -123,12 +124,19 @@ def simulated_annealing(env: SearchEnv, cfg: SaConfig, budget: int, seed: int) -
             current, current_reward = candidate, candidate_reward
 
 
+def megatron_space_dims(
+    space: ActionSpaceSpec, ops: tuple[FusedOpDescriptor, ...]
+) -> tuple[AxisChoice, ...]:
+    """The megatron shard axis of each operator ``space`` controls, in its order."""
+    dims_by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
+    return tuple(dims_by_name[name] for name in space.op_names)
+
+
 def megatron_vectors(
     space: ActionSpaceSpec, ops: tuple[FusedOpDescriptor, ...]
 ) -> list[tuple[int, ...]]:
     """Every coarse degree tuple of ``space`` with megatron-pinned shard axes."""
-    dims_by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
-    fine_tail = tuple(int(dims_by_name[name]) for name in space.op_names)
+    fine_tail = tuple(int(axis) for axis in megatron_space_dims(space, ops))
     domains = (space.tp_domain, space.ep_domain, space.pp_domain, space.batch_domain)
     return [
         coarse + fine_tail

@@ -23,6 +23,7 @@ from typing import Callable, NoReturn, Sequence
 from .baselines import (
     NoValidConfiguration,
     megatron_exhaustive,
+    megatron_space_dims,
     megatron_vectors,
     random_walk,
     simulated_annealing,
@@ -37,7 +38,6 @@ from .strategy import (
     Strategy,
     canonical_fused_ops,
     encode_strategy,
-    megatron_fine_dims,
 )
 
 CONFIG_ENV_VAR = "SHARDSEARCH_CONFIG"
@@ -146,9 +146,7 @@ def _fine_dims(
 ) -> tuple[AxisChoice, ...]:
     space = cfg.space
     if megatron:
-        ops = canonical_fused_ops(cfg.model)
-        by_name = dict(zip((op.name for op in ops), megatron_fine_dims(ops)))
-        return tuple(by_name[name] for name in space.op_names)
+        return megatron_space_dims(space, canonical_fused_ops(cfg.model))
     chosen = {name: AxisChoice.UNSHARDED for name in space.op_names}
     named = set()
     for flag in dim_flags or ():
@@ -235,28 +233,27 @@ def _summarize(algo: str, budget: int, rows: list[dict]) -> dict:
 def cmd_search(args: argparse.Namespace) -> int:
     cfg, config_path = _load_experiment(args.config)
     algo = args.algo
-    given = {"--budget": args.budget, "--seeds": args.seeds, "--seed0": args.seed0}
-    ignored = [flag for flag, value in given.items() if value is not None]
-    if algo == "exhaustive" and ignored:
-        print(
-            "warning: the exhaustive sweep is deterministic; "
-            f"ignoring {' and '.join(ignored)}",
-            file=sys.stderr,
-        )
-    budget = args.budget if args.budget is not None else cfg.ppo.budget
-    if budget < 1:
-        raise CliError(f"--budget must be positive, got {budget}")
-    seeds_count = args.seeds if args.seeds is not None else 1
-    if seeds_count < 1:
-        raise CliError(f"--seeds must be positive, got {seeds_count}")
-    seed0 = args.seed0 if args.seed0 is not None else 0
-    if seed0 < 0:
-        raise CliError(f"--seed0 must be non-negative, got {seed0}")
-
     if algo == "exhaustive":
+        given = {"--budget": args.budget, "--seeds": args.seeds, "--seed0": args.seed0}
+        ignored = [flag for flag, value in given.items() if value is not None]
+        if ignored:
+            print(
+                "warning: the exhaustive sweep is deterministic; "
+                f"ignoring {' and '.join(ignored)}",
+                file=sys.stderr,
+            )
         budget = len(megatron_vectors(cfg.space, canonical_fused_ops(cfg.model)))
         runs = [("grid", None)]
     else:
+        budget = args.budget if args.budget is not None else cfg.ppo.budget
+        if budget < 1:
+            raise CliError(f"--budget must be positive, got {budget}")
+        seeds_count = args.seeds if args.seeds is not None else 1
+        if seeds_count < 1:
+            raise CliError(f"--seeds must be positive, got {seeds_count}")
+        seed0 = args.seed0 if args.seed0 is not None else 0
+        if seed0 < 0:
+            raise CliError(f"--seed0 must be non-negative, got {seed0}")
         runs = [(f"seed_{n}", n) for n in range(seed0, seed0 + seeds_count)]
     # Built before any directory is made: it rejects a budget that the
     # chunks do not divide.

@@ -18,11 +18,11 @@ exactly one collective reconciles them (``_RECONCILE``):
     sharded       all_gather      (no-op)
     partial_sum   all_reduce      reduce_scatter
 
-Planning first resolves every operator's layouts in walk order, so an
-unrealizable strategy fails before any plan record exists. It then walks the
-segment once, inserts the table's collective at every disagreement, and
-restores the replicated state at block boundaries where residual adds and
-normalization need full activations.
+``Segment.resolve`` gives every operator's layouts in walk order and is
+the one layout verdict: it raises LayoutError for an unrealizable strategy.
+``plan_layer`` then walks a resolved segment once, inserts the table's
+collective at every disagreement, and restores the replicated state at block
+boundaries where residual adds and normalization need full activations.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ class Interconnect(str, Enum):
 
 class LayoutError(ValueError):
     """Sharding choice that cannot be realized by the layout algebra."""
+
+
+def wire(span: int, node_size: int) -> Interconnect:
+    """The wire of a group spanning ``span`` devices: intra-node while it fits one node."""
+    return Interconnect.INTRA_NODE if span <= node_size else Interconnect.INTER_NODE
 
 
 class CollectiveOp(NamedTuple):
@@ -161,21 +166,24 @@ class LayerPlan(NamedTuple):
         return "\n".join(lines)
 
 
+# (op, axis, input demanded, output yielded) of one operator under a strategy,
+# and a segment's four walk parts made of them.
+_Resolved = tuple[FusedOpDescriptor, AxisChoice, LayoutKind | None, LayoutKind | None]
+ResolvedSegment = tuple[list[_Resolved], ...]
+
+
 class Segment(NamedTuple):
     """One operator segment in walk order, computed once per operator table.
 
     ``prefix`` runs linearly up to ``router``, which holds the router or
     nothing; after it, the ``routed`` expert ops and the ``shared`` others
     form two parallel branches. A segment without a router is all prefix.
-    ``has_experts`` says whether any op is a routed-expert matmul, where the
-    ep constraints bind.
     """
 
     prefix: tuple[FusedOpDescriptor, ...]
     router: tuple[FusedOpDescriptor, ...]
     routed: tuple[FusedOpDescriptor, ...]
     shared: tuple[FusedOpDescriptor, ...]
-    has_experts: bool
 
     @classmethod
     def of(cls, ops: tuple[FusedOpDescriptor, ...]) -> Segment:
@@ -188,20 +196,21 @@ class Segment(NamedTuple):
             router=ops[branch_point : branch_point + 1],
             routed=tuple(op for op in branch if op.op_class is OpClass.MOE_MATMUL),
             shared=tuple(op for op in branch if op.op_class is not OpClass.MOE_MATMUL),
-            has_experts=any(op.op_class is OpClass.MOE_MATMUL for op in ops),
         )
 
-
-# (op, axis, input demanded, output yielded) of one operator under a strategy.
-_Resolved = tuple[FusedOpDescriptor, AxisChoice, LayoutKind | None, LayoutKind | None]
-
-
-def _resolve(ops: tuple[FusedOpDescriptor, ...], strategy: Strategy) -> list[_Resolved]:
-    out = []
-    for op in ops:
-        axis = strategy.axis_of(op.name)
-        out.append((op, axis, *op_layouts(op, axis, strategy.tp)))
-    return out
+    def resolve(self, strategy: Strategy) -> ResolvedSegment:
+        """Every op's layouts under ``strategy`` in walk order, part by part.
+        Raises LayoutError at the first inadmissible axis or indivisible extent.
+        """
+        tp = strategy.tp
+        parts = []
+        for ops in self:  # prefix, router, routed, shared
+            part = []
+            for op in ops:
+                axis = strategy.axis_of(op.name)
+                part.append((op, axis, *op_layouts(op, axis, tp)))
+            parts.append(part)
+        return tuple(parts)
 
 
 class _Walker:
@@ -252,36 +261,24 @@ class _Walker:
 
 def plan_layer(
     model: ModelSpec,
-    segment: Segment,
+    segment: ResolvedSegment,
     strategy: Strategy,
     batch_tokens: int,
     node_size: int,
 ) -> LayerPlan:
-    """Plan one pass over ``segment`` starting and ending replicated.
+    """Plan one pass over a resolved ``segment`` starting and ending replicated.
 
     The walk follows the canonical segment structure: an attention block that
     must hand a replicated activation to its residual/norm, a router feeding
     parallel routed-expert and shared-expert branches whose outputs merge by
     addition, and a trailing boundary that restores the replicated state for
     the next layer. Expert-parallel dispatch and combine appear as all_to_all
-    steps around the routed branch. Raises LayoutError for unrealizable
-    strategies (degree overflows first, then inadmissible axes and
-    indivisible extents in walk order) before building any plan record.
+    steps around the routed branch. The strategy has passed every gate, so
+    planning raises nothing.
     """
+    prefix, router, routed, shared = segment
     tp, ep = strategy.tp, strategy.ep
-    if segment.has_experts:
-        # Segments without expert ops (embedding, lm head) are planned under
-        # any ep; the degree constraints bind where the routed branch lives.
-        if ep > model.num_experts:
-            raise LayoutError(f"ep={ep} exceeds num_experts={model.num_experts}")
-        if model.num_experts % ep != 0:
-            raise LayoutError(f"ep={ep} does not divide num_experts={model.num_experts}")
-    prefix = _resolve(segment.prefix, strategy)
-    router = _resolve(segment.router, strategy)
-    routed = _resolve(segment.routed, strategy)
-    shared = _resolve(segment.shared, strategy)
-
-    tp_wire = Interconnect.INTRA_NODE if tp <= node_size else Interconnect.INTER_NODE
+    tp_wire = wire(tp, node_size)
     walker = _Walker(model, tp, float(batch_tokens), tp_wire)
 
     # Linear prefix: everything up to the router feeds the next op directly.
@@ -297,7 +294,7 @@ def plan_layer(
         # Routed branch. Dispatch scatters each token to its experts across
         # the EP group; with balanced routing every device then holds
         # batch * experts_per_token / ep token slots.
-        ep_wire = Interconnect.INTRA_NODE if tp * ep <= node_size else Interconnect.INTER_NODE
+        ep_wire = wire(tp * ep, node_size)
         routed_tokens = batch_tokens * model.experts_per_token / ep
         dispatch_bytes = routed_tokens * model.hidden_dim * model.dtype_bytes
         expert_walker = _Walker(model, tp, routed_tokens, tp_wire)

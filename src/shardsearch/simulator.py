@@ -30,18 +30,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .layout import (
     CollectiveKind,
     CollectiveOp,
     Interconnect,
-    LayerPlan,
     LayoutError,
     PlanStep,
+    ResolvedSegment,
     Segment,
     plan_layer,
+    wire,
 )
 from .model import HardwareSpec, ModelSpec, check_fields
 from .strategy import (
@@ -98,9 +99,6 @@ class SimResult:
     memory_bytes: float = 0.0
     breakdown: TimeBreakdown = TimeBreakdown(0.0, 0.0, 0.0)
     detail: str = ""
-    # The per-layer plan that was priced; None when a gate stopped the
-    # strategy before pricing.
-    layer_plan: LayerPlan | None = field(default=None, compare=False, repr=False)
 
 
 def op_time(flops: float, bytes_moved: float, hw: HardwareSpec) -> float:
@@ -216,7 +214,7 @@ def _op_cost(
 
 @functools.cache
 def _segments(model: ModelSpec) -> tuple[Segment, Segment, Segment]:
-    """(pre, layer, post) operator segments of one decode step.
+    """(layer, pre, post) operator segments of one decode step, in gate order.
 
     The per-layer ops form the layer stack; the once-per-model ops before
     the first of them run on the first stage, the rest on the last.
@@ -224,22 +222,18 @@ def _segments(model: ModelSpec) -> tuple[Segment, Segment, Segment]:
     ops = canonical_fused_ops(model)
     first = next(i for i, op in enumerate(ops) if op.per_layer)
     return (
-        Segment.of(ops[:first]),
         Segment.of(tuple(op for op in ops if op.per_layer)),
+        Segment.of(ops[:first]),
         Segment.of(tuple(op for op in ops[first:] if not op.per_layer)),
     )
 
 
-def _plan_times(
-    plan: LayerPlan,
-    model: ModelSpec,
-    hw: HardwareSpec,
-    strategy: Strategy,
-    context_len: int,
-) -> tuple[float, float]:
-    """(compute seconds, communication seconds) of one plan execution."""
+def _segment_times(segment: ResolvedSegment, req: SimRequest) -> tuple[float, float]:
+    """(compute seconds, communication seconds) of one pass over ``segment``."""
+    model, hw, s = req.model, req.hw, req.strategy
+    plan = plan_layer(model, segment, s, s.batch, hw.node_size)
     compute = sum(
-        op_time(*_op_cost(step, model, strategy, context_len), hw) for step in plan.steps
+        op_time(*_op_cost(step, model, s, req.context_len), hw) for step in plan.steps
     )
     comm = sum(collective_time(c, hw) for c in plan.all_collectives())
     return compute, comm
@@ -247,8 +241,9 @@ def _plan_times(
 
 def simulate(req: SimRequest) -> SimResult:
     """Score one strategy. Gates run in a fixed order so the reported
-    invalid_reason is deterministic: device budget, layout, memory, then SLO.
-    """
+    invalid_reason is deterministic: device budget, pp and ep degrees, the
+    layer, pre and post layouts, memory, then the SLO on the price. Only a
+    strategy that passes every gate before the price builds a plan."""
     model, hw, s = req.model, req.hw, req.strategy
     if s.world_size > hw.device_budget:
         return SimResult(
@@ -257,19 +252,22 @@ def simulate(req: SimRequest) -> SimResult:
             detail=f"needs {s.world_size} devices, budget is {hw.device_budget}",
         )
 
-    pre_seg, layer_seg, post_seg = _segments(model)
-    try:
-        if model.num_layers % s.pp != 0:
-            raise LayoutError(
-                f"pp={s.pp} does not divide num_layers={model.num_layers}"
-            )
-        layer_plan = plan_layer(model, layer_seg, s, s.batch, hw.node_size)
-        pre_plan = plan_layer(model, pre_seg, s, s.batch, hw.node_size)
-        post_plan = plan_layer(model, post_seg, s, s.batch, hw.node_size)
-    except LayoutError as err:
-        return SimResult(
-            valid=False, invalid_reason=InvalidReason.LAYOUT_ERROR, detail=str(err)
-        )
+    # Every layer holds the routed experts, so the ep degree binds always.
+    detail = None
+    if model.num_layers % s.pp != 0:
+        detail = f"pp={s.pp} does not divide num_layers={model.num_layers}"
+    elif s.ep > model.num_experts:
+        detail = f"ep={s.ep} exceeds num_experts={model.num_experts}"
+    elif model.num_experts % s.ep != 0:
+        detail = f"ep={s.ep} does not divide num_experts={model.num_experts}"
+    else:
+        layer_seg, pre_seg, post_seg = _segments(model)
+        try:
+            layer, pre, post = layer_seg.resolve(s), pre_seg.resolve(s), post_seg.resolve(s)
+        except LayoutError as err:
+            detail = str(err)
+    if detail is not None:
+        return SimResult(valid=False, invalid_reason=InvalidReason.LAYOUT_ERROR, detail=detail)
 
     memory = memory_per_device(model, s, req.context_len, s.batch)
     if memory > hw.hbm_capacity:
@@ -281,20 +279,17 @@ def simulate(req: SimRequest) -> SimResult:
         )
 
     layers_per_stage = model.num_layers // s.pp
-    layer_c, layer_m = _plan_times(layer_plan, model, hw, s, req.context_len)
-    pre_c, pre_m = _plan_times(pre_plan, model, hw, s, req.context_len)
-    post_c, post_m = _plan_times(post_plan, model, hw, s, req.context_len)
+    layer_c, layer_m = _segment_times(layer, req)
+    pre_c, pre_m = _segment_times(pre, req)
+    post_c, post_m = _segment_times(post, req)
 
     hop_s = 0.0
     if s.pp > 1:
-        hop_wire = (
-            Interconnect.INTRA_NODE if s.world_size <= hw.node_size else Interconnect.INTER_NODE
-        )
         hop = CollectiveOp(
             CollectiveKind.POINT_TO_POINT,
             group_size=2,
             payload_bytes=s.batch * model.hidden_dim * model.dtype_bytes,
-            interconnect=hop_wire,
+            interconnect=wire(s.world_size, hw.node_size),
             purpose="stage handoff",
         )
         hop_s = collective_time(hop, hw)
@@ -324,7 +319,6 @@ def simulate(req: SimRequest) -> SimResult:
             memory_bytes=memory,
             breakdown=breakdown,
             detail=f"tpot {tpot * 1e3:.2f} ms exceeds SLO {req.slo_tpot * 1e3:.2f} ms",
-            layer_plan=layer_plan,
         )
 
     return SimResult(
@@ -334,7 +328,6 @@ def simulate(req: SimRequest) -> SimResult:
         tpot_s=tpot,
         memory_bytes=memory,
         breakdown=breakdown,
-        layer_plan=layer_plan,
     )
 
 
@@ -365,10 +358,13 @@ def verdict_lines(s: Strategy, result: SimResult) -> list[str]:
 
 
 def explain(req: SimRequest) -> str:
-    """Human-readable account of one strategy: the verdict, then the priced plan if any."""
+    """Human-readable account of one strategy: the verdict, then one layer's plan if priced."""
+    s = req.strategy
     result = simulate(req)
-    lines = verdict_lines(req.strategy, result)
-    if result.layer_plan is not None:
+    lines = verdict_lines(s, result)
+    if result.valid or result.invalid_reason is InvalidReason.SLO_VIOLATION:
+        layer = _segments(req.model)[0].resolve(s)
+        plan = plan_layer(req.model, layer, s, s.batch, req.hw.node_size)
         lines.append("per-layer plan:")
-        lines.extend("  " + ln for ln in result.layer_plan.describe().splitlines())
+        lines.extend("  " + ln for ln in plan.describe().splitlines())
     return "\n".join(lines)

@@ -197,7 +197,11 @@ def test_allgather_between_ffn_matmuls_replaces_the_mlp_allreduce():
             op_dims=tuple(dims_by_name[n] for n in names),
         )
         return plan_layer(
-            cfg.model, Segment.of(ops), strategy, batch_tokens=64, node_size=cfg.hardware.node_size
+            cfg.model,
+            Segment.of(ops).resolve(strategy),
+            strategy,
+            batch_tokens=64,
+            node_size=cfg.hardware.node_size,
         )
 
     def mlp_collectives(plan):

@@ -327,6 +327,15 @@ class TestSearch:
         assert code == 0
         assert "ignoring --seed0" in err
 
+    def test_exhaustive_does_not_validate_the_flags_it_ignores(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["search", "--config", "tiny", "--algo", "exhaustive", "--budget", "0",
+             "--seeds", "0", "--seed0", "-1", "--out", str(tmp_path / "ex")],
+            capsys,
+        )
+        assert code == 0, err
+        assert "ignoring --budget and --seeds and --seed0" in err
+
     def test_refuses_to_overwrite_finished_run(self, tmp_path, capsys):
         out_dir = tmp_path / "once"
         args = ["search", "--config", "tiny", "--algo", "rw", "--budget", "5",

@@ -26,7 +26,7 @@ from shardsearch.strategy import (
     megatron_fine_dims,
 )
 
-from small_specs import small_model
+from small_specs import small_hw, small_model
 
 
 def make_strategy(model, tp=4, ep=1, pp=1, batch=8, overrides=None):
@@ -53,7 +53,7 @@ R, S, P = LayoutKind.REPLICATED, LayoutKind.SHARDED, LayoutKind.PARTIAL_SUM
 
 def plan_with(model, tp=4, **axes):
     s = make_strategy(model, tp=tp, overrides=axes)
-    return plan_layer(model, layer_segment(model), s, batch_tokens=8, node_size=8)
+    return plan_layer(model, layer_segment(model).resolve(s), s, batch_tokens=8, node_size=8)
 
 
 def steps_of(plan):
@@ -168,7 +168,7 @@ class TestLayerPlans:
 
     def test_megatron_layer_has_exactly_two_all_reduces(self):
         s = make_strategy(self.model, tp=4)
-        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
         counts = kinds(plan)
         assert counts[CollectiveKind.ALL_REDUCE] == 2
         assert set(counts) == {CollectiveKind.ALL_REDUCE}
@@ -182,7 +182,7 @@ class TestLayerPlans:
             self.model, tp=4,
             overrides={"expert_ffn2": AxisChoice.DIM1, "shared_ffn2": AxisChoice.DIM1},
         )
-        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
         steps = {step.op.name: step for step in plan.steps}
         between = steps["expert_ffn2"].collectives_before
         assert [c.kind for c in between] == [CollectiveKind.ALL_GATHER]
@@ -200,12 +200,12 @@ class TestLayerPlans:
 
     def test_tensor_parallel_one_plans_no_communication(self):
         s = make_strategy(self.model, tp=1)
-        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
         assert plan.all_collectives() == ()
 
     def test_expert_parallel_adds_dispatch_and_combine(self):
         s = make_strategy(self.model, tp=1, ep=4)
-        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
         a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
         assert len(a2a) == 2
         assert {c.purpose for c in a2a} == {"expert dispatch", "expert combine"}
@@ -216,29 +216,30 @@ class TestLayerPlans:
 
     def test_expert_parallel_beyond_expert_count_fails(self):
         s = make_strategy(self.model, tp=1, ep=16)
-        with pytest.raises(LayoutError, match="exceeds num_experts"):
-            plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        result = simulate(SimRequest(self.model, small_hw(), s, context_len=256))
+        assert result.invalid_reason is InvalidReason.LAYOUT_ERROR
+        assert "exceeds num_experts" in result.detail
 
     def test_unsharded_everything_plans_no_tensor_collectives(self):
         s = make_strategy(self.model, tp=4)
         s = dataclasses.replace(s, op_dims=tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
-        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
         assert plan.all_collectives() == ()
 
     def test_interconnect_follows_group_span(self):
         wide = make_strategy(self.model, tp=4, ep=4)
-        plan = plan_layer(self.model, self.segment, wide, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(wide), wide, batch_tokens=8, node_size=8)
         a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
         assert all(c.interconnect is Interconnect.INTER_NODE for c in a2a)
         narrow = make_strategy(self.model, tp=2, ep=4)
-        plan = plan_layer(self.model, self.segment, narrow, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(narrow), narrow, batch_tokens=8, node_size=8)
         a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
         assert all(c.interconnect is Interconnect.INTRA_NODE for c in a2a)
 
     def test_planning_is_pure_and_deterministic(self):
         s = make_strategy(self.model, tp=4, ep=2)
-        first = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
-        second = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        first = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
+        second = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
         assert first == second
 
     def test_mixed_branch_layouts_align_before_merge(self):
@@ -246,7 +247,7 @@ class TestLayerPlans:
         # be replicated before the add. The shared branch also gathers
         # internally because its second matmul contracts over full features.
         s = make_strategy(self.model, tp=4, overrides={"shared_ffn2": AxisChoice.DIM1})
-        plan = plan_layer(self.model, self.segment, s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
         counts = kinds(plan)
         assert counts[CollectiveKind.ALL_REDUCE] == 2  # attention + routed align
         assert counts[CollectiveKind.ALL_GATHER] == 2  # shared internal + align
@@ -338,8 +339,18 @@ class TestGateOrder:
         unsharded = {op.name: AxisChoice.UNSHARDED for op in canonical_fused_ops(model)}
         # shared_ffn2 is the last op of the walk; 128 ffn rows do not split 3 ways.
         late = make_strategy(model, tp=3, overrides={**unsharded, "shared_ffn2": AxisChoice.DIM0})
-        with pytest.raises(LayoutError, match="^shared_ffn2 cannot shard DIM0"):
-            plan_layer(model, layer_segment(model), late, batch_tokens=8, node_size=8)
+        refused = (
+            (late, InvalidReason.LAYOUT_ERROR, "shared_ffn2 cannot shard DIM0"),
+            (make_strategy(model, pp=3), InvalidReason.LAYOUT_ERROR, "pp=3 does not divide"),
+            (make_strategy(model, ep=16), InvalidReason.LAYOUT_ERROR, "ep=16 exceeds"),
+            # The whole layout walk passes; one megabyte of HBM does not hold it.
+            (make_strategy(model), InvalidReason.OOM, "needs"),
+        )
+        tight = small_hw(hbm_capacity=1e6)
+        for s, reason, detail in refused:
+            result = simulate(SimRequest(model, tight, s, context_len=256))
+            assert result.invalid_reason is reason
+            assert result.detail.startswith(detail)
         assert built == Counter()
         # The counters see a plan that does get built.
         plan = plan_with(model, tp=4)

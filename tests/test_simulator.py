@@ -12,7 +12,6 @@ from shardsearch.layout import (
     CollectiveOp,
     Interconnect,
 )
-from shardsearch import simulator
 from shardsearch.model import HardwareSpec
 from shardsearch.simulator import (
     InvalidReason,
@@ -340,8 +339,8 @@ class TestAccounting:
             self.model, tp=4,
             overrides={"qkv_proj": AxisChoice.UNSHARDED, "attn_core": AxisChoice.UNSHARDED},
         )
-        plan_s = plan_layer(self.model, segment, sharded, 8, 8)
-        plan_u = plan_layer(self.model, segment, unsharded, 8, 8)
+        plan_s = plan_layer(self.model, segment.resolve(sharded), sharded, 8, 8)
+        plan_u = plan_layer(self.model, segment.resolve(unsharded), unsharded, 8, 8)
         step_s = next(s for s in plan_s.steps if s.op.name == "qkv_proj")
         step_u = next(s for s in plan_u.steps if s.op.name == "qkv_proj")
         flops_s, _ = _op_cost(step_s, self.model, sharded, 256)
@@ -356,35 +355,39 @@ class TestAccounting:
         costs = {}
         for tp in (2, 4):
             s = make_strategy(self.model, tp=tp)
-            plan = plan_layer(self.model, segment, s, 8, 8)
+            plan = plan_layer(self.model, segment.resolve(s), s, 8, 8)
             step = next(st for st in plan.steps if st.op.name == "qkv_proj")
             costs[tp] = _op_cost(step, self.model, s, 256)[0]
         assert costs[2] == 2 * costs[4]
 
 
 class TestExplain:
-    def test_prints_the_layer_plan_simulate_priced_without_replanning(self, monkeypatch):
+    def test_prints_the_plan_of_the_resolved_layer(self):
+        from shardsearch.layout import Segment, plan_layer
+
         model, hw = small_model(), bare_hw()
-        req = request(model, hw, make_strategy(model, tp=4, ep=2, pp=2, batch=16), slo=10.0)
-        calls = []
-        real_plan_layer = simulator.plan_layer
-
-        def counting_plan_layer(*args, **kwargs):
-            calls.append(args[1])
-            return real_plan_layer(*args, **kwargs)
-
-        monkeypatch.setattr(simulator, "plan_layer", counting_plan_layer)
-        result = simulate(req)
-        planned = len(calls)
-        text = explain(req)
-        assert len(calls) == 2 * planned  # explain's own simulate, nothing more
-        assert result.valid and result.layer_plan is not None
-        plan_lines = ["  " + ln for ln in result.layer_plan.describe().splitlines()]
-        assert text.splitlines()[-len(plan_lines):] == plan_lines
+        s = make_strategy(model, tp=4, ep=2, pp=2, batch=16)
+        segment = Segment.of(tuple(op for op in canonical_fused_ops(model) if op.per_layer))
+        plan = plan_layer(model, segment.resolve(s), s, s.batch, hw.node_size)
+        plan_lines = ["  " + ln for ln in plan.describe().splitlines()]
+        # A valid strategy and one over the SLO were both priced.
+        for slo, reason in ((10.0, InvalidReason.NONE), (1e-6, InvalidReason.SLO_VIOLATION)):
+            req = request(model, hw, s, slo=slo)
+            assert simulate(req).invalid_reason is reason
+            text = explain(req).splitlines()
+            assert text[-len(plan_lines) - 1 :] == ["per-layer plan:", *plan_lines]
 
     def test_gated_result_carries_no_plan(self):
+        # A strategy stopped before pricing prints its verdict and no plan.
         model = small_model()
-        over_budget = bare_hw(device_budget=2)
-        result = simulate(request(model, over_budget, make_strategy(model, tp=4)))
-        assert result.invalid_reason is InvalidReason.OVER_DEVICE_BUDGET
-        assert result.layer_plan is None
+        stopped = (
+            ({"device_budget": 2}, {"tp": 4}, InvalidReason.OVER_DEVICE_BUDGET),
+            ({}, {"tp": 4, "pp": 3}, InvalidReason.LAYOUT_ERROR),
+            ({"hbm_capacity": 1e6}, {"tp": 4}, InvalidReason.OOM),
+        )
+        for hw_overrides, degrees, reason in stopped:
+            req = request(model, bare_hw(**hw_overrides), make_strategy(model, **degrees))
+            assert simulate(req).invalid_reason is reason
+            text = explain(req)
+            assert "per-layer plan:" not in text
+            assert text.splitlines()[-1].startswith(("valid:", "memory per device:"))
