@@ -230,6 +230,11 @@ def _summarize(algo: str, budget: int, rows: list[dict]) -> dict:
     }
 
 
+def _seed_dir(seed: int | None) -> str:
+    """A seed's directory in a run: the exhaustive sweep's is ``grid``."""
+    return "grid" if seed is None else f"seed_{seed}"
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     cfg, config_path = _load_experiment(args.config)
     algo = args.algo
@@ -243,7 +248,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         budget = len(megatron_vectors(cfg.space, canonical_fused_ops(cfg.model)))
-        runs = [("grid", None)]
+        seeds: list[int | None] = [None]
     else:
         budget = args.budget if args.budget is not None else cfg.ppo.budget
         if budget < 1:
@@ -254,7 +259,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         seed0 = args.seed0 if args.seed0 is not None else 0
         if seed0 < 0:
             raise CliError(f"--seed0 must be non-negative, got {seed0}")
-        runs = [(f"seed_{n}", n) for n in range(seed0, seed0 + seeds_count)]
+        seeds = list(range(seed0, seed0 + seeds_count))
     # Built before any directory is made: it rejects a budget that the
     # chunks do not divide.
     ppo_cfg = dataclasses.replace(cfg.ppo, budget=budget) if algo == "ppo" else cfg.ppo
@@ -275,8 +280,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     # summary.json's rows are the run's manifest; report.json holds the rest.
     rows = []
-    for name, seed in runs:
-        run_dir = out_dir / name
+    for seed in seeds:
+        run_dir = out_dir / _seed_dir(seed)
         run_dir.mkdir()
         with SearchEnv(
             cfg.model,
@@ -295,7 +300,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         (run_dir / "report.json").write_text(json.dumps(report) + "\n", encoding="utf-8")
         rows.append({"seed": seed, "best_raw": env.best_raw,
                      "best_vector": env.best_vector, "evals": env.evals_used})
-        print(f"{name}: best raw {env.best_raw:.6f} ({env.evals_used} evals)")
+        print(f"{run_dir.name}: best raw {env.best_raw:.6f} ({env.evals_used} evals)")
 
     summary = _summarize(algo, budget, rows)
     (out_dir / "summary.json").write_text(
@@ -344,7 +349,7 @@ def _read_run(path: Path) -> _RunDir:
         raise CliError(f"{summary_path} lists no seeds")
     seeds = []
     for seed, evals in rows:
-        log = path / ("grid" if seed is None else f"seed_{seed}") / "evals.ndjson"
+        log = path / _seed_dir(seed) / "evals.ndjson"
         records = load_eval_log(log)
         if not records or len(records) != evals:
             raise CliError(

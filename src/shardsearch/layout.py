@@ -129,41 +129,23 @@ def op_layouts(
 
 
 class PlanStep(NamedTuple):
-    """One operator instance in a layer plan with its reconciliation traffic."""
+    """One operator instance in a layer plan."""
 
     op: FusedOpDescriptor
     axis: AxisChoice
     input_layout: LayoutKind
     output_layout: LayoutKind
-    collectives_before: tuple[CollectiveOp, ...]
     tokens: float  # tokens this op processes per device group per step
 
     def describe(self) -> str:
-        lines = [c.describe() for c in self.collectives_before]
-        lines.append(
+        return (
             f"{self.op.name}[{self.axis.name.lower()}]: "
             f"{self.input_layout.value} -> {self.output_layout.value}"
         )
-        return "\n".join(lines)
 
 
-class LayerPlan(NamedTuple):
-    """Planned operator walk plus trailing boundary reconciliation."""
-
-    steps: tuple[PlanStep, ...]
-    exit_collectives: tuple[CollectiveOp, ...]
-
-    def all_collectives(self) -> tuple[CollectiveOp, ...]:
-        out: list[CollectiveOp] = []
-        for step in self.steps:
-            out.extend(step.collectives_before)
-        out.extend(self.exit_collectives)
-        return tuple(out)
-
-    def describe(self) -> str:
-        lines = [step.describe() for step in self.steps]
-        lines.extend(c.describe() for c in self.exit_collectives)
-        return "\n".join(lines)
+# A layer plan: its op steps and the collectives between them, in execution order.
+LayerPlan = tuple[PlanStep | CollectiveOp, ...]
 
 
 # (op, axis, input demanded, output yielded) of one operator under a strategy,
@@ -214,7 +196,7 @@ class Segment(NamedTuple):
 
 
 class _Walker:
-    """Mutable cursor over one operator segment: layout, width, pending comm."""
+    """Mutable cursor over one operator segment: layout, width, plan so far."""
 
     def __init__(
         self, model: ModelSpec, tp: int, tokens: float, tp_wire: Interconnect
@@ -225,20 +207,15 @@ class _Walker:
         self.dtype = model.dtype_bytes
         self.state = _R
         self.features = model.hidden_dim
-        self.pending: list[CollectiveOp] = []
-        self.steps: list[PlanStep] = []
-
-    def tensor_bytes(self) -> float:
-        return self.tokens * self.features * self.dtype
+        self.plan: list[PlanStep | CollectiveOp] = []
 
     def reconcile(self, target: LayoutKind, purpose: str) -> None:
         if self.state is target:
             return
         kind = _RECONCILE[self.state, target]
         if kind is not CollectiveKind.NO_OP:
-            self.pending.append(
-                CollectiveOp(kind, self.tp, self.tensor_bytes(), self.tp_wire, purpose)
-            )
+            payload = self.tokens * self.features * self.dtype
+            self.plan.append(CollectiveOp(kind, self.tp, payload, self.tp_wire, purpose))
         self.state = target
 
     def run_op(
@@ -251,20 +228,13 @@ class _Walker:
         if demanded is not None:
             self.reconcile(demanded, f"feed {op.name}")
         out = yielded or self.state
-        self.steps.append(
-            PlanStep(op, axis, self.state, out, tuple(self.pending), self.tokens)
-        )
-        self.pending = []
+        self.plan.append(PlanStep(op, axis, self.state, out, self.tokens))
         self.state = out
         self.features = op.out_features
 
 
 def plan_layer(
-    model: ModelSpec,
-    segment: ResolvedSegment,
-    strategy: Strategy,
-    batch_tokens: int,
-    node_size: int,
+    model: ModelSpec, segment: ResolvedSegment, strategy: Strategy, node_size: int
 ) -> LayerPlan:
     """Plan one pass over a resolved ``segment`` starting and ending replicated.
 
@@ -273,13 +243,13 @@ def plan_layer(
     parallel routed-expert and shared-expert branches whose outputs merge by
     addition, and a trailing boundary that restores the replicated state for
     the next layer. Expert-parallel dispatch and combine appear as all_to_all
-    steps around the routed branch. The strategy has passed every gate, so
-    planning raises nothing.
+    steps around the routed branch; the combine is placed after the shared
+    branch, where the branch outputs meet. The strategy has passed every
+    gate, so planning raises nothing.
     """
     prefix, router, routed, shared = segment
-    tp, ep = strategy.tp, strategy.ep
-    tp_wire = wire(tp, node_size)
-    walker = _Walker(model, tp, float(batch_tokens), tp_wire)
+    tp, ep, batch = strategy.tp, strategy.ep, strategy.batch
+    walker = _Walker(model, tp, float(batch), wire(tp, node_size))
 
     # Linear prefix: everything up to the router feeds the next op directly.
     for resolved in prefix:
@@ -295,43 +265,34 @@ def plan_layer(
         # the EP group; with balanced routing every device then holds
         # batch * experts_per_token / ep token slots.
         ep_wire = wire(tp * ep, node_size)
-        routed_tokens = batch_tokens * model.experts_per_token / ep
+        routed_tokens = batch * model.experts_per_token / ep
         dispatch_bytes = routed_tokens * model.hidden_dim * model.dtype_bytes
-        expert_walker = _Walker(model, tp, routed_tokens, tp_wire)
+        all_to_all = (CollectiveKind.ALL_TO_ALL, ep, dispatch_bytes, ep_wire)
         if ep > 1:
-            expert_walker.pending.append(
-                CollectiveOp(
-                    CollectiveKind.ALL_TO_ALL, ep, dispatch_bytes, ep_wire, "expert dispatch"
-                )
-            )
+            walker.plan.append(CollectiveOp(*all_to_all, "expert dispatch"))
+        # Each branch starts from the replicated layer input at full width.
+        walker.state, walker.features, walker.tokens = _R, model.hidden_dim, routed_tokens
         for resolved in routed:
-            expert_walker.run_op(*resolved)
-        if ep > 1:
-            expert_walker.pending.append(
-                CollectiveOp(
-                    CollectiveKind.ALL_TO_ALL, ep, dispatch_bytes, ep_wire, "expert combine"
-                )
-            )
+            walker.run_op(*resolved)
+        routed_state = walker.state
 
-        # Shared branch (the other ops after the router), computed from the
-        # same replicated layer input.
-        shared_walker = _Walker(model, tp, float(batch_tokens), tp_wire)
+        # Shared branch (the other ops after the router).
+        walker.state, walker.features, walker.tokens = _R, model.hidden_dim, float(batch)
         for resolved in shared:
-            shared_walker.run_op(*resolved)
-
-        for branch_walker in (expert_walker, shared_walker):
-            walker.steps.extend(branch_walker.steps)
-            walker.pending.extend(branch_walker.pending)
+            walker.run_op(*resolved)
+        if ep > 1:
+            walker.plan.append(CollectiveOp(*all_to_all, "expert combine"))
 
         walker.features = model.hidden_dim
-        if shared_walker.steps and shared_walker.state is not expert_walker.state:
+        if shared and walker.state is not routed_state:
             # Branch outputs add elementwise, so they must agree; replicate
             # each side before the sum when they disagree.
-            for branch_walker, label in ((expert_walker, "routed"), (shared_walker, "shared")):
-                walker.state = branch_walker.state
+            shared_state = walker.state
+            for state, label in ((routed_state, "routed"), (shared_state, "shared")):
+                walker.state = state
                 walker.reconcile(_R, f"align {label} expert output")
         else:
-            walker.state = expert_walker.state
+            walker.state = routed_state
 
     walker.reconcile(_R, "layer exit")
-    return LayerPlan(steps=tuple(walker.steps), exit_collectives=tuple(walker.pending))
+    return tuple(walker.plan)

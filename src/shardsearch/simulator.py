@@ -229,13 +229,17 @@ def _segments(model: ModelSpec) -> tuple[Segment, Segment, Segment]:
 
 
 def _segment_times(segment: ResolvedSegment, req: SimRequest) -> tuple[float, float]:
-    """(compute seconds, communication seconds) of one pass over ``segment``."""
+    """(compute seconds, communication seconds) of one pass over ``segment``.
+
+    Both totals start from the int 0, as ``sum`` does, so a plan with no
+    collective prices its communication as 0."""
     model, hw, s = req.model, req.hw, req.strategy
-    plan = plan_layer(model, segment, s, s.batch, hw.node_size)
-    compute = sum(
-        op_time(*_op_cost(step, model, s, req.context_len), hw) for step in plan.steps
-    )
-    comm = sum(collective_time(c, hw) for c in plan.all_collectives())
+    compute = comm = 0
+    for entry in plan_layer(model, segment, s, hw.node_size):
+        if isinstance(entry, PlanStep):
+            compute += op_time(*_op_cost(entry, model, s, req.context_len), hw)
+        else:
+            comm += collective_time(entry, hw)
     return compute, comm
 
 
@@ -364,7 +368,7 @@ def explain(req: SimRequest) -> str:
     lines = verdict_lines(s, result)
     if result.valid or result.invalid_reason is InvalidReason.SLO_VIOLATION:
         layer = _segments(req.model)[0].resolve(s)
-        plan = plan_layer(req.model, layer, s, s.batch, req.hw.node_size)
+        plan = plan_layer(req.model, layer, s, req.hw.node_size)
         lines.append("per-layer plan:")
-        lines.extend("  " + ln for ln in plan.describe().splitlines())
+        lines.extend("  " + entry.describe() for entry in plan)
     return "\n".join(lines)

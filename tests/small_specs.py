@@ -1,5 +1,9 @@
-"""The small model, bare hardware and 3-choice space that unit tests share."""
+"""The small model, bare hardware and 3-choice space that unit tests share,
+and the readers of a layer plan's collectives."""
 
+import itertools
+
+from shardsearch.layout import PlanStep
 from shardsearch.model import HardwareSpec, ModelSpec
 from shardsearch.strategy import ActionSpaceSpec
 
@@ -47,3 +51,18 @@ def small_space():
         pp_domain=(1, 2, 4),
         batch_domain=(1, 4, 16),
     )
+
+
+def trailing(plan):
+    """The collectives after the last step of ``plan``."""
+    after = itertools.takewhile(lambda entry: not isinstance(entry, PlanStep), reversed(plan))
+    return tuple(after)[::-1]
+
+
+def feeding(plan, op_name):
+    """The collectives just before ``op_name``'s step in ``plan``."""
+    at = next(
+        i for i, entry in enumerate(plan)
+        if isinstance(entry, PlanStep) and entry.op.name == op_name
+    )
+    return trailing(plan[:at])

@@ -53,6 +53,8 @@ from shardsearch.strategy import (
     megatron_fine_dims,
 )
 
+from small_specs import feeding, trailing
+
 SEEDS = range(10)
 
 # An optimum of the packaged tiny workload, checked against the enumerated
@@ -200,7 +202,6 @@ def test_allgather_between_ffn_matmuls_replaces_the_mlp_allreduce():
             cfg.model,
             Segment.of(ops).resolve(strategy),
             strategy,
-            batch_tokens=64,
             node_size=cfg.hardware.node_size,
         )
 
@@ -209,24 +210,21 @@ def test_allgather_between_ffn_matmuls_replaces_the_mlp_allreduce():
         # trailing boundary. The reconciliation attached to the router input
         # completes the attention block and is excluded.
         kinds = []
-        for step in plan.steps:
-            if step.op.name in ffn_ops:
-                kinds.extend(c.kind for c in step.collectives_before)
-        kinds.extend(c.kind for c in plan.exit_collectives)
+        for name in sorted(ffn_ops):
+            kinds.extend(c.kind for c in feeding(plan, name))
+        kinds.extend(c.kind for c in trailing(plan))
         return kinds
 
     alternative = dict(by_name)
     alternative.update(expert_ffn2=AxisChoice.DIM1, shared_ffn2=AxisChoice.DIM1)
     alt_plan = plan_with(alternative)
-    ffn2_step = next(s for s in alt_plan.steps if s.op.name == "expert_ffn2")
     assert any(
-        c.kind is CollectiveKind.ALL_GATHER for c in ffn2_step.collectives_before
+        c.kind is CollectiveKind.ALL_GATHER for c in feeding(alt_plan, "expert_ffn2")
     )
     assert CollectiveKind.ALL_REDUCE not in mlp_collectives(alt_plan)
 
     mega_plan = plan_with(dict(by_name))
     assert mlp_collectives(mega_plan).count(CollectiveKind.ALL_REDUCE) == 1
-    mega_ffn2 = next(s for s in mega_plan.steps if s.op.name == "expert_ffn2")
     assert not any(
         c.kind
         in (
@@ -234,7 +232,7 @@ def test_allgather_between_ffn_matmuls_replaces_the_mlp_allreduce():
             CollectiveKind.ALL_REDUCE,
             CollectiveKind.REDUCE_SCATTER,
         )
-        for c in mega_ffn2.collectives_before
+        for c in feeding(mega_plan, "expert_ffn2")
     )
 
 

@@ -10,9 +10,11 @@ from shardsearch import layout
 from shardsearch.config import load_config, packaged_config_path
 from shardsearch.layout import (
     CollectiveKind,
+    CollectiveOp,
     Interconnect,
     LayoutError,
     LayoutKind,
+    PlanStep,
     Segment,
     op_layouts,
     plan_layer,
@@ -26,7 +28,7 @@ from shardsearch.strategy import (
     megatron_fine_dims,
 )
 
-from small_specs import small_hw, small_model
+from small_specs import feeding, small_hw, small_model, trailing
 
 
 def make_strategy(model, tp=4, ep=1, pp=1, batch=8, overrides=None):
@@ -44,8 +46,12 @@ def layer_segment(model):
     return Segment.of(tuple(op for op in canonical_fused_ops(model) if op.per_layer))
 
 
+def collectives(plan):
+    return tuple(entry for entry in plan if isinstance(entry, CollectiveOp))
+
+
 def kinds(plan):
-    return Counter(c.kind for c in plan.all_collectives())
+    return Counter(c.kind for c in collectives(plan))
 
 
 R, S, P = LayoutKind.REPLICATED, LayoutKind.SHARDED, LayoutKind.PARTIAL_SUM
@@ -53,11 +59,11 @@ R, S, P = LayoutKind.REPLICATED, LayoutKind.SHARDED, LayoutKind.PARTIAL_SUM
 
 def plan_with(model, tp=4, **axes):
     s = make_strategy(model, tp=tp, overrides=axes)
-    return plan_layer(model, layer_segment(model).resolve(s), s, batch_tokens=8, node_size=8)
+    return plan_layer(model, layer_segment(model).resolve(s), s, node_size=8)
 
 
 def steps_of(plan):
-    return {step.op.name: step for step in plan.steps}
+    return {step.op.name: step for step in plan if isinstance(step, PlanStep)}
 
 
 class TestTransitionTable:
@@ -69,17 +75,18 @@ class TestTransitionTable:
         u, d0, d1 = AxisChoice.UNSHARDED, AxisChoice.DIM0, AxisChoice.DIM1
         # partial_sum -> replicated and sharded -> replicated at the residual.
         for out_axis, kind in ((d0, CollectiveKind.ALL_REDUCE), (d1, CollectiveKind.ALL_GATHER)):
-            step = steps_of(plan_with(self.model, attn_out_proj=out_axis))["router_gate"]
-            assert [(c.kind, c.purpose) for c in step.collectives_before] == [
+            plan = plan_with(self.model, attn_out_proj=out_axis)
+            assert [(c.kind, c.purpose) for c in feeding(plan, "router_gate")] == [
                 (kind, "attention residual")
             ]
         # replicated -> sharded is a local slice; partial_sum -> sharded
         # reduce-scatters into the head-sharded attention core.
-        steps = steps_of(plan_with(self.model, qkv_proj=d0, attn_core=d1, attn_out_proj=u))
+        plan = plan_with(self.model, qkv_proj=d0, attn_core=d1, attn_out_proj=u)
+        steps = steps_of(plan)
         assert steps["qkv_proj"].input_layout is S
-        assert steps["qkv_proj"].collectives_before == ()
+        assert feeding(plan, "qkv_proj") == ()
         assert steps["kv_cache_io"].output_layout is P
-        assert [c.kind for c in steps["attn_core"].collectives_before] == [
+        assert [c.kind for c in feeding(plan, "attn_core")] == [
             CollectiveKind.REDUCE_SCATTER
         ]
 
@@ -100,12 +107,8 @@ class TestTransitionTable:
             intra_node_bw=4.5e11, inter_node_bw=5e10, node_size=8,
             device_budget=24000, kernel_overhead=0.0, per_collective_latency=0.0,
         )
-        (gather,) = steps_of(
-            plan_with(self.model, attn_out_proj=AxisChoice.DIM1)
-        )["router_gate"].collectives_before
-        (reduce,) = steps_of(
-            plan_with(self.model, attn_out_proj=AxisChoice.DIM0)
-        )["router_gate"].collectives_before
+        (gather,) = feeding(plan_with(self.model, attn_out_proj=AxisChoice.DIM1), "router_gate")
+        (reduce,) = feeding(plan_with(self.model, attn_out_proj=AxisChoice.DIM0), "router_gate")
         assert gather.payload_bytes == reduce.payload_bytes
         assert collective_time(gather, hw) * 2 == collective_time(reduce, hw)
 
@@ -149,9 +152,10 @@ class TestInferOutputLayout:
     def test_elementwise_preserves_any_layout(self):
         assert self.rule("kv_cache_io", AxisChoice.UNSHARDED) == (None, None)
         for qkv_axis, state in ((AxisChoice.UNSHARDED, R), (AxisChoice.DIM1, S), (AxisChoice.DIM0, P)):
-            step = steps_of(plan_with(self.model, qkv_proj=qkv_axis))["kv_cache_io"]
+            plan = plan_with(self.model, qkv_proj=qkv_axis)
+            step = steps_of(plan)["kv_cache_io"]
             assert (step.input_layout, step.output_layout) == (state, state)
-            assert step.collectives_before == ()
+            assert feeding(plan, "kv_cache_io") == ()
 
     def test_extent_divisibility_enforced(self):
         # 8 query heads cannot split 16 ways.
@@ -168,12 +172,12 @@ class TestLayerPlans:
 
     def test_megatron_layer_has_exactly_two_all_reduces(self):
         s = make_strategy(self.model, tp=4)
-        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
         counts = kinds(plan)
         assert counts[CollectiveKind.ALL_REDUCE] == 2
         assert set(counts) == {CollectiveKind.ALL_REDUCE}
         # One reconciles the attention block, one the merged expert output.
-        purposes = [c.purpose for c in plan.all_collectives()]
+        purposes = [c.purpose for c in collectives(plan)]
         assert any("attention" in p for p in purposes)
         assert any("exit" in p for p in purposes)
 
@@ -182,9 +186,8 @@ class TestLayerPlans:
             self.model, tp=4,
             overrides={"expert_ffn2": AxisChoice.DIM1, "shared_ffn2": AxisChoice.DIM1},
         )
-        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
-        steps = {step.op.name: step for step in plan.steps}
-        between = steps["expert_ffn2"].collectives_before
+        plan = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
+        between = feeding(plan, "expert_ffn2")
         assert [c.kind for c in between] == [CollectiveKind.ALL_GATHER]
         # The MLP section now communicates only through gathers: the single
         # remaining all_reduce belongs to the attention block.
@@ -192,27 +195,51 @@ class TestLayerPlans:
         mlp_collectives = [
             c
             for name in mlp_names
-            for c in steps[name].collectives_before
+            for c in feeding(plan, name)
             if "attention" not in c.purpose
-        ] + list(plan.exit_collectives)
+        ] + list(trailing(plan))
         assert mlp_collectives
         assert all(c.kind is CollectiveKind.ALL_GATHER for c in mlp_collectives)
 
     def test_tensor_parallel_one_plans_no_communication(self):
         s = make_strategy(self.model, tp=1)
-        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
-        assert plan.all_collectives() == ()
+        plan = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
+        assert collectives(plan) == ()
 
     def test_expert_parallel_adds_dispatch_and_combine(self):
         s = make_strategy(self.model, tp=1, ep=4)
-        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
-        a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
+        plan = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
+        a2a = [c for c in collectives(plan) if c.kind is CollectiveKind.ALL_TO_ALL]
         assert len(a2a) == 2
         assert {c.purpose for c in a2a} == {"expert dispatch", "expert combine"}
         assert all(c.group_size == 4 for c in a2a)
         # Balanced routing: batch * top_k / ep tokens of hidden width each way.
         expected = 8 * 2 / 4 * 256 * 2
         assert all(c.payload_bytes == expected for c in a2a)
+
+    def test_entries_run_in_execution_order(self):
+        # Op names for steps, purposes for collectives. Dispatch precedes the
+        # routed ops; combine follows the shared ops, where the branches meet.
+        def order(overrides):
+            s = make_strategy(self.model, tp=4, ep=2, overrides=overrides)
+            plan = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
+            return [e.op.name if isinstance(e, PlanStep) else e.purpose for e in plan]
+
+        attention = ["qkv_proj", "kv_cache_io", "attn_core", "attn_out_proj"]
+        branches = [
+            "attention residual", "router_gate", "expert dispatch", "expert_ffn1",
+            "expert_ffn2", "shared_ffn1",
+        ]
+        # Branch outputs disagree: both align after the combine, which leaves
+        # the exit replicated.
+        assert order({"shared_ffn2": AxisChoice.DIM1}) == attention + branches + [
+            "feed shared_ffn2", "shared_ffn2", "expert combine",
+            "align routed expert output", "align shared expert output",
+        ]
+        # Branch outputs agree: the layer exit reduces them last.
+        assert order({}) == attention + branches + [
+            "shared_ffn2", "expert combine", "layer exit",
+        ]
 
     def test_expert_parallel_beyond_expert_count_fails(self):
         s = make_strategy(self.model, tp=1, ep=16)
@@ -223,23 +250,23 @@ class TestLayerPlans:
     def test_unsharded_everything_plans_no_tensor_collectives(self):
         s = make_strategy(self.model, tp=4)
         s = dataclasses.replace(s, op_dims=tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
-        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
-        assert plan.all_collectives() == ()
+        plan = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
+        assert collectives(plan) == ()
 
     def test_interconnect_follows_group_span(self):
         wide = make_strategy(self.model, tp=4, ep=4)
-        plan = plan_layer(self.model, self.segment.resolve(wide), wide, batch_tokens=8, node_size=8)
-        a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
+        plan = plan_layer(self.model, self.segment.resolve(wide), wide, node_size=8)
+        a2a = [c for c in collectives(plan) if c.kind is CollectiveKind.ALL_TO_ALL]
         assert all(c.interconnect is Interconnect.INTER_NODE for c in a2a)
         narrow = make_strategy(self.model, tp=2, ep=4)
-        plan = plan_layer(self.model, self.segment.resolve(narrow), narrow, batch_tokens=8, node_size=8)
-        a2a = [c for c in plan.all_collectives() if c.kind is CollectiveKind.ALL_TO_ALL]
+        plan = plan_layer(self.model, self.segment.resolve(narrow), narrow, node_size=8)
+        a2a = [c for c in collectives(plan) if c.kind is CollectiveKind.ALL_TO_ALL]
         assert all(c.interconnect is Interconnect.INTRA_NODE for c in a2a)
 
     def test_planning_is_pure_and_deterministic(self):
         s = make_strategy(self.model, tp=4, ep=2)
-        first = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
-        second = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
+        first = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
+        second = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
         assert first == second
 
     def test_mixed_branch_layouts_align_before_merge(self):
@@ -247,7 +274,7 @@ class TestLayerPlans:
         # be replicated before the add. The shared branch also gathers
         # internally because its second matmul contracts over full features.
         s = make_strategy(self.model, tp=4, overrides={"shared_ffn2": AxisChoice.DIM1})
-        plan = plan_layer(self.model, self.segment.resolve(s), s, batch_tokens=8, node_size=8)
+        plan = plan_layer(self.model, self.segment.resolve(s), s, node_size=8)
         counts = kinds(plan)
         assert counts[CollectiveKind.ALL_REDUCE] == 2  # attention + routed align
         assert counts[CollectiveKind.ALL_GATHER] == 2  # shared internal + align
@@ -354,5 +381,5 @@ class TestGateOrder:
         assert built == Counter()
         # The counters see a plan that does get built.
         plan = plan_with(model, tp=4)
-        assert built["PlanStep"] == len(plan.steps)
-        assert built["CollectiveOp"] == len(plan.all_collectives())
+        assert built["PlanStep"] == sum(isinstance(entry, PlanStep) for entry in plan)
+        assert built["CollectiveOp"] == len(collectives(plan))

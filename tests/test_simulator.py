@@ -331,7 +331,7 @@ class TestAccounting:
 
     def test_unsharded_large_matmul_pays_replicated_cost(self):
         from shardsearch.simulator import _op_cost
-        from shardsearch.layout import Segment, plan_layer
+        from shardsearch.layout import PlanStep, Segment, plan_layer
 
         segment = Segment.of(tuple(op for op in canonical_fused_ops(self.model) if op.per_layer))
         sharded = make_strategy(self.model, tp=4)
@@ -339,24 +339,24 @@ class TestAccounting:
             self.model, tp=4,
             overrides={"qkv_proj": AxisChoice.UNSHARDED, "attn_core": AxisChoice.UNSHARDED},
         )
-        plan_s = plan_layer(self.model, segment.resolve(sharded), sharded, 8, 8)
-        plan_u = plan_layer(self.model, segment.resolve(unsharded), unsharded, 8, 8)
-        step_s = next(s for s in plan_s.steps if s.op.name == "qkv_proj")
-        step_u = next(s for s in plan_u.steps if s.op.name == "qkv_proj")
+        plan_s = plan_layer(self.model, segment.resolve(sharded), sharded, 8)
+        plan_u = plan_layer(self.model, segment.resolve(unsharded), unsharded, 8)
+        step_s = next(s for s in plan_s if isinstance(s, PlanStep) and s.op.name == "qkv_proj")
+        step_u = next(s for s in plan_u if isinstance(s, PlanStep) and s.op.name == "qkv_proj")
         flops_s, _ = _op_cost(step_s, self.model, sharded, 256)
         flops_u, _ = _op_cost(step_u, self.model, unsharded, 256)
         assert flops_u == 4 * flops_s
 
     def test_doubling_tp_halves_sharded_op_flops(self):
         from shardsearch.simulator import _op_cost
-        from shardsearch.layout import Segment, plan_layer
+        from shardsearch.layout import PlanStep, Segment, plan_layer
 
         segment = Segment.of(tuple(op for op in canonical_fused_ops(self.model) if op.per_layer))
         costs = {}
         for tp in (2, 4):
             s = make_strategy(self.model, tp=tp)
-            plan = plan_layer(self.model, segment.resolve(s), s, 8, 8)
-            step = next(st for st in plan.steps if st.op.name == "qkv_proj")
+            plan = plan_layer(self.model, segment.resolve(s), s, 8)
+            step = next(st for st in plan if isinstance(st, PlanStep) and st.op.name == "qkv_proj")
             costs[tp] = _op_cost(step, self.model, s, 256)[0]
         assert costs[2] == 2 * costs[4]
 
@@ -368,8 +368,8 @@ class TestExplain:
         model, hw = small_model(), bare_hw()
         s = make_strategy(model, tp=4, ep=2, pp=2, batch=16)
         segment = Segment.of(tuple(op for op in canonical_fused_ops(model) if op.per_layer))
-        plan = plan_layer(model, segment.resolve(s), s, s.batch, hw.node_size)
-        plan_lines = ["  " + ln for ln in plan.describe().splitlines()]
+        plan = plan_layer(model, segment.resolve(s), s, hw.node_size)
+        plan_lines = ["  " + entry.describe() for entry in plan]
         # A valid strategy and one over the SLO were both priced.
         for slo, reason in ((10.0, InvalidReason.NONE), (1e-6, InvalidReason.SLO_VIOLATION)):
             req = request(model, hw, s, slo=slo)
