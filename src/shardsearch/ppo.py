@@ -323,19 +323,28 @@ def loss_and_grads(
     under. Otherwise samples holding the same observation object, as
     ``collect`` hands out while the buffer stands still, share one new
     forward pass.
+
+    The backward pass is linear in its upstream gradients for a fixed
+    forward cache, so it runs once per distinct forward pass: samples that
+    share a cache add their ``d_logits`` tables and ``d_value`` floats in
+    batch order, and each cache's sums go through ``policy.backward`` once,
+    in first-seen order. An epoch thus costs one backward pass per forward
+    pass, and an eval one forward pass, one backward pass and one Adam step.
     """
     n = len(batch)
     if n == 0:
         raise ValueError("empty rollout batch")
-    grads: Mapping[str, np.ndarray] | None = None
     policy_loss = 0.0
     value_loss = 0.0
     entropy_total = 0.0
     clipped = 0
     ratio_sum = 0.0
     forwards: dict[int, tuple[PolicyOutput, dict]] = {}
+    # [cache, d_logits sum, d_value sum] per forward pass, keyed by the
+    # cache's id; each entry keeps its cache alive, so ids stay distinct.
+    upstream: dict[int, list] = {}
 
-    for i, sample in enumerate(batch):
+    for sample in batch:
         if not (
             math.isfinite(sample.reward)
             and math.isfinite(sample.value_old)
@@ -383,7 +392,12 @@ def loss_and_grads(
             cfg.entropy_coef * out.probs * (out.log_probs + head_entropy[:, None]) / n
         )
 
-        grads = policy.backward(cache, d_logits, d_value, accumulate=i > 0)
+        summed = upstream.get(id(cache))
+        if summed is None:
+            upstream[id(cache)] = [cache, d_logits, d_value]
+        else:
+            summed[1] += d_logits
+            summed[2] += d_value
 
     total = policy_loss + value_loss - cfg.entropy_coef * entropy_total
     if not math.isfinite(total):
@@ -397,7 +411,8 @@ def loss_and_grads(
         clip_fraction=clipped / n,
         mean_ratio=ratio_sum / n,
     )
-    assert grads is not None
+    for j, (cache, d_logits, d_value) in enumerate(upstream.values()):
+        grads = policy.backward(cache, d_logits, d_value, accumulate=j > 0)
     return report, grads
 
 

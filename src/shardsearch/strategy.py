@@ -324,10 +324,14 @@ class Strategy:
 
     def axis_of(self, op_name: str) -> AxisChoice:
         """Shard axis assigned to ``op_name``, following pins for uncontrolled ops."""
-        try:
+        # A membership test, not a caught ValueError from ``index``: raising
+        # costs several times a scan of these short tuples.
+        if op_name in self.op_names:
             return self.op_dims[self.op_names.index(op_name)]
-        except ValueError:
-            return dict(self.pinned_dims).get(op_name, AxisChoice.UNSHARDED)
+        for name, axis in self.pinned_dims:
+            if name == op_name:
+                return axis
+        return AxisChoice.UNSHARDED
 
 
 def encode_strategy(strategy: Strategy, space: ActionSpaceSpec) -> tuple[int, ...]:

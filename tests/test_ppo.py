@@ -103,6 +103,20 @@ def forward_calls(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def backward_calls(monkeypatch):
+    """A one-item list counting ``PolicyNetwork.backward`` calls."""
+    count = [0]
+    backward = PolicyNetwork.backward
+
+    def counted_backward(self, *args, **kwargs):
+        count[0] += 1
+        return backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolicyNetwork, "backward", counted_backward)
+    return count
+
+
 class TestPpoConfig:
     def test_chunks_must_divide_budget(self):
         with pytest.raises(ValueError, match="divide"):
@@ -405,7 +419,9 @@ class TestPpoUpdate:
         for name in policy.params:
             np.testing.assert_array_equal(reused_grads[name], fresh_grads[name])
 
-    def test_samples_of_one_observation_share_one_forward_pass(self, forward_calls):
+    def test_samples_of_one_observation_share_one_forward_pass(
+        self, monkeypatch, forward_calls
+    ):
         policy = make_policy(seed=15)
         rng = np.random.default_rng(15)
         shared, other = rng.random((3, 16)), rng.random((3, 16))
@@ -422,16 +438,48 @@ class TestPpoUpdate:
                     value_old=out.value,
                 )
             )
+        calls = []
+        backward = policy.backward
+
+        def spy(cache, d_logits, d_value, accumulate=False):
+            calls.append((cache, d_logits.copy(), d_value, accumulate))
+            return backward(cache, d_logits, d_value, accumulate=accumulate)
+
+        monkeypatch.setattr(policy, "backward", spy)
         # Copies of the observations: no two samples share an object.
         apart = [replace(sample, obs=sample.obs.copy()) for sample in batch]
         report_apart, grads = loss_and_grads(policy, apart, small_cfg())
         grads_apart = {name: g.copy() for name, g in grads.items()}
+        per_sample = [(d_logits, d_value) for _, d_logits, d_value, _ in calls]
+        assert len(per_sample) == 3
+        calls.clear()
         forward_calls["forward"] = 0
         report, grads = loss_and_grads(policy, batch, small_cfg())
+        grads = {name: g.copy() for name, g in grads.items()}
         assert forward_calls["forward"] == 2
         assert replace(report, lr=0.0) == replace(report_apart, lr=0.0)  # lr is NaN
+
+        # One backward pass per distinct forward pass, in first-seen order;
+        # the shared pass gets the per-sample upstream gradients summed in
+        # batch order.
+        shared_call, other_call = calls
+        assert shared_call[0] is not other_call[0]
+        assert (shared_call[3], other_call[3]) == (False, True)
+        sum_logits = per_sample[0][0] + per_sample[2][0]
+        sum_value = per_sample[0][1] + per_sample[2][1]
+        np.testing.assert_array_equal(shared_call[1], sum_logits)
+        assert shared_call[2] == sum_value
+        np.testing.assert_array_equal(other_call[1], per_sample[1][0])
+        assert other_call[2] == per_sample[1][1]
+        backward(shared_call[0], sum_logits, sum_value)
+        reference = backward(other_call[0], *per_sample[1], accumulate=True)
         for name, grad in grads.items():
-            np.testing.assert_array_equal(grad, grads_apart[name], err_msg=name)
+            np.testing.assert_array_equal(grad, reference[name], err_msg=name)
+            # Summing upstream gradients first rounds differently from
+            # summing per-sample parameter gradients, by about an ulp.
+            np.testing.assert_allclose(
+                grad, grads_apart[name], rtol=1e-12, atol=1e-15, err_msg=name
+            )
 
     @pytest.mark.parametrize(
         "width, name",
@@ -727,6 +775,18 @@ class TestForwardPasses:
         # Each two-step update needs one pass for its second epoch and one
         # for the confidence check; a buffer change costs one more.
         assert budget <= forward_calls["forward"] <= 1.1 * budget
+
+    def test_a_tiny_search_runs_about_one_backward_pass_per_eval(
+        self, tmp_path, capsys, backward_calls
+    ):
+        budget = 200
+        args = ["search", "--config", "tiny", "--algo", "ppo", "--budget", str(budget),
+                "--seeds", "1", "--out", str(tmp_path / "run")]
+        assert main(args) == 0
+        capsys.readouterr()
+        # Each two-step update runs two epochs of one backward pass per
+        # distinct forward pass; a buffer change costs one more.
+        assert budget <= backward_calls[0] <= 1.1 * budget
 
 
 class TestSearchReport:

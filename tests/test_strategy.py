@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shardsearch.config import load_config, packaged_config_path
 from shardsearch.strategy import (
     ActionSpaceSpec,
     AxisChoice,
@@ -16,6 +17,7 @@ from shardsearch.strategy import (
     OpClass,
     Strategy,
     canonical_fused_ops,
+    check_space,
     count_parameters,
     decode_strategy,
     encode_strategy,
@@ -215,6 +217,33 @@ class TestEncoding:
         assert s.axis_of("attn_out_proj") is AxisChoice.DIM0
         assert s.axis_of("expert_ffn1") is AxisChoice.DIM1
         assert s.axis_of("final_norm") is AxisChoice.UNSHARDED
+
+    @pytest.mark.parametrize("config", ["tiny", "moe_1p2t_h100"])
+    def test_axis_of_matches_a_reference_mapping_on_every_operator(self, config):
+        cfg = load_config(packaged_config_path(config))
+        ops = canonical_fused_ops(cfg.model)
+        # The packaged space, and one that pins an uncontrolled operator to a
+        # sharded axis and leaves another at the UNSHARDED default; a space
+        # that controls every operator cedes two of them first.
+        controlled = cfg.space.op_names
+        if len(controlled) == len(ops):
+            controlled = controlled[:-2]
+        free = [op for op in ops if op.name not in controlled]
+        pin = next(op for op in free if op.extents)
+        assert any(op is not pin for op in free)
+        pinned_space = dataclasses.replace(
+            cfg.space, op_names=controlled, pinned=((pin.name, next(iter(pin.extents))),)
+        )
+        check_space(pinned_space, cfg.model)
+        rng = np.random.default_rng(0)
+        for space in (cfg.space, pinned_space):
+            for _ in range(20):
+                vector = tuple(int(rng.integers(k)) for k in space.head_sizes)
+                reference = {op.name: AxisChoice.UNSHARDED for op in ops}
+                reference.update(space.pinned)
+                reference.update(zip(space.op_names, map(AxisChoice, vector[4:])))
+                strategy = decode_strategy(vector, space)
+                assert {op.name: strategy.axis_of(op.name) for op in ops} == reference
 
 
 class TestMegatronDims:
