@@ -19,9 +19,6 @@ always spends its budget exactly.
 from __future__ import annotations
 
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -56,7 +53,7 @@ class PpoConfig:
     entropy_coef: float = 0.01
     tau: float = 0.95
     history_len: int = 3
-    width: int = 256
+    width: int = 64
 
     def __post_init__(self) -> None:
         check_fields("ppo", self, non_negative=("value_coef", "entropy_coef"))
@@ -109,73 +106,14 @@ class ChunkOutcome:
     evals_used: int
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Worker:
-    """One daemon thread that runs submitted calls in order."""
-
-    def __init__(self) -> None:
-        self.pid = os.getpid()
-        self._calls: queue.SimpleQueue = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="adam-worker", daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            fn, args, reply = self._calls.get()
-            error = None
-            try:
-                fn(*args)
-            except Exception as exc:
-                error = exc
-            # Dropped before the reply: a finished call's arrays must not
-            # stay alive while the thread waits for the next call.
-            del fn, args
-            reply.put(error)
-            del error, reply
-
-    def submit(self, fn, *args) -> queue.SimpleQueue:
-        """Queue ``fn(*args)``; the returned queue receives None or its error."""
-        reply: queue.SimpleQueue = queue.SimpleQueue()
-        self._calls.put((fn, args, reply))
-        return reply
-
-
-_worker: _Worker | None = None
-
-
-def _adam_worker() -> _Worker:
-    """The process's worker, started on first use.
-
-    One per process, shared by every ``Adam``: each chunk builds a fresh
-    optimizer, and a thread per optimizer would outlive it. A forked child
-    inherits the object but not its thread, so a changed process id builds
-    a new one.
-    """
-    global _worker
-    if _worker is None or _worker.pid != os.getpid():
-        _worker = _Worker()
-    return _worker
-
-
 class Adam:
     """Adam with bias correction over one flat parameter vector.
 
     ``m`` and ``v`` are flat vectors shaped like the parameters; the
     learning rate is supplied per ``apply`` call. The update runs in place,
     ``BLOCK`` elements at a time, with the gradient block and one
-    block-sized scratch row per thread as its only temporaries, so a step
-    allocates nothing.
-
-    A vector of two or more blocks, in a process that may run on two CPUs,
-    is stepped on two threads: the caller steps the lower half of the
-    blocks while a worker thread steps the upper half. numpy releases the
-    GIL inside each ufunc and every element gets the same arithmetic, so
-    the result is bit-identical to a serial step.
+    block-sized scratch row as its only temporaries, so a step allocates
+    nothing.
     """
 
     BLOCK = 1 << 15
@@ -187,11 +125,7 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        blocks = -(-params.size // self.BLOCK)
-        split = blocks >= 2 and _usable_cpus() >= 2
-        # First element of the worker's blocks; None steps serially.
-        self._split = (blocks + 1) // 2 * self.BLOCK if split else None
-        self._scratch = np.empty((2 if split else 1, min(params.size, self.BLOCK)))
+        self._scratch = np.empty(min(params.size, self.BLOCK))
 
     def apply(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         """One step: ``params -= lr * m_hat / (sqrt(v_hat) + eps)``, in place.
@@ -202,38 +136,12 @@ class Adam:
         self.step_count += 1
         bias1 = 1.0 - self.BETA1**self.step_count
         bias2 = 1.0 - self.BETA2**self.step_count
-        step = (params, grad, lr, bias1, bias2)
-        if self._split is None:
-            self._steps(*step, 0, params.size, self._scratch[0])
-            return
-        reply = _adam_worker().submit(
-            self._steps, *step, self._split, params.size, self._scratch[1]
-        )
-        try:
-            self._steps(*step, 0, self._split, self._scratch[0])
-        finally:
-            error = reply.get()
-        if error is not None:
-            raise error
-
-    def _steps(
-        self,
-        params: np.ndarray,
-        grad: np.ndarray,
-        lr: float,
-        bias1: float,
-        bias2: float,
-        start: int,
-        stop: int,
-        scratch: np.ndarray,
-    ) -> None:
-        """Step elements ``[start, stop)``, one block at a time."""
-        for lo in range(start, stop, self.BLOCK):
-            hi = min(lo + self.BLOCK, stop)
+        for lo in range(0, params.size, self.BLOCK):
+            hi = min(lo + self.BLOCK, params.size)
             g = grad[lo:hi]
             m = self.m[lo:hi]
             v = self.v[lo:hi]
-            t = scratch[: hi - lo]
+            t = self._scratch[: hi - lo]
             v *= self.BETA2
             np.multiply(1.0 - self.BETA2, g, out=t)
             t *= g

@@ -231,10 +231,10 @@ def _segments(model: ModelSpec) -> tuple[Segment, Segment, Segment]:
 def _segment_times(segment: ResolvedSegment, req: SimRequest) -> tuple[float, float]:
     """(compute seconds, communication seconds) of one pass over ``segment``.
 
-    Both totals start from the int 0, as ``sum`` does, so a plan with no
-    collective prices its communication as 0."""
+    Both totals start from the float 0.0, so a plan with no collective
+    prices its communication as 0.0."""
     model, hw, s = req.model, req.hw, req.strategy
-    compute = comm = 0
+    compute = comm = 0.0
     for entry in plan_layer(model, segment, s, hw.node_size):
         if isinstance(entry, PlanStep):
             compute += op_time(*_op_cost(entry, model, s, req.context_len), hw)

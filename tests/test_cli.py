@@ -538,8 +538,8 @@ class TestReport:
     def test_one_row_needs_one_set_of_searcher_settings(self, tmp_path, capsys):
         config = tmp_path / "narrow.yaml"
         packaged = packaged_config_path("tiny").read_text(encoding="utf-8")
-        assert "  width: 64\n" in packaged
-        config.write_text(packaged.replace("  width: 64\n", "  width: 8\n"), encoding="utf-8")
+        assert packaged.count("\nppo:\n") == 1 and "  width:" not in packaged
+        config.write_text(packaged.replace("\nppo:\n", "\nppo:\n  width: 8\n"), encoding="utf-8")
         a = make_run(tmp_path, capsys, "ppo", "a", budget="10", seeds="1")
         b = tmp_path / "b"
         args = ["search", "--config", str(config), "--algo", "ppo", "--budget", "10",

@@ -6,14 +6,10 @@ gradient wiring end to end (surrogate, value, entropy terms together).
 
 import itertools
 import math
-import multiprocessing
-import os
 import re
 import subprocess
 import sys
 import textwrap
-import threading
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -132,7 +128,7 @@ class TestPpoConfig:
         assert cfg.clip_eps == 0.2
         assert cfg.tau == 0.95
         assert cfg.history_len == 3
-        assert cfg.width == 256
+        assert cfg.width == 64
 
     def test_positivity_validated(self):
         with pytest.raises(ValueError, match="n_steps"):
@@ -217,93 +213,33 @@ class TestAdam:
         for name, tensor in policy.params.items():
             np.testing.assert_array_equal(tensor, expected[name], err_msg=name)
 
-    def test_import_and_a_single_block_search_start_no_thread(self):
-        # A fresh interpreter, so no earlier test has started the worker.
+    def test_import_and_a_multi_block_search_start_no_thread(self):
+        # A fresh interpreter, so no earlier test has started a thread. The
+        # packaged 1.2T learner spans two Adam blocks.
         script = textwrap.dedent(
             """
             import dataclasses, sys, threading
+            import numpy as np
             from shardsearch.config import load_config, packaged_config_path
             from shardsearch.env import SearchEnv
-            from shardsearch.ppo import run_search
+            from shardsearch.policy import PolicyNetwork
+            from shardsearch.ppo import Adam, run_search
+            from shardsearch.strategy import canonical_fused_ops
             assert "concurrent.futures" not in sys.modules
             threads = threading.active_count()
-            cfg = load_config(packaged_config_path("tiny"))
+            cfg = load_config(packaged_config_path("moe_1p2t_h100"))
             env = SearchEnv(cfg.model, cfg.hardware, cfg.space,
                             context_len=cfg.simulation.context_len, budget=10,
                             reward=cfg.reward, slo_tpot=cfg.simulation.slo_tpot)
+            policy = PolicyNetwork(cfg.space, canonical_fused_ops(cfg.model),
+                                   rng=np.random.default_rng(0),
+                                   history_len=cfg.ppo.history_len, width=cfg.ppo.width)
+            assert policy.flat.size > Adam.BLOCK, policy.flat.size
             run_search(env, dataclasses.replace(cfg.ppo, budget=10), seed=0)
             assert threading.active_count() == threads, threading.enumerate()
             """
         )
         subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
-
-    def test_worker_keeps_no_reference_to_a_finished_step(self):
-        params = np.zeros(3 * Adam.BLOCK)
-        opt = Adam(params)
-        opt.apply(params, np.ones(params.size), 1e-3)
-        refs = [weakref.ref(params), weakref.ref(opt.m)]
-        del params, opt
-        assert [ref() for ref in refs] == [None, None]
-
-    def test_concurrent_callers_each_get_their_own_step(self):
-        # More callers than cores share the one worker thread. Each call must
-        # wait for its own upper half, so the parameters read right after
-        # every step equal those of the same steps taken alone.
-        rng = np.random.default_rng(5)
-        start = rng.normal(size=3 * Adam.BLOCK + 7)
-        grads = [rng.normal(size=start.size) for _ in range(4)]
-
-        def trajectory(grad):
-            params = start.copy()
-            opt = Adam(params)
-            seen = []
-            for _ in range(10):
-                opt.apply(params, grad.copy(), 1e-3)
-                seen.append(params.copy())
-            return seen
-
-        expected = [trajectory(grad) for grad in grads]
-        results = [None] * len(grads)
-
-        def run(i):
-            results[i] = trajectory(grads[i])
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(grads))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for got, want in zip(results, expected):
-            np.testing.assert_array_equal(np.array(got), np.array(want))
-
-    @pytest.mark.skipif(sys.platform != "linux", reason="needs the fork start method")
-    def test_forked_child_steps_a_multi_block_vector(self):
-        params = np.linspace(-1.0, 1.0, 3 * Adam.BLOCK + 5)
-        grad = np.cos(7.0 * params)
-        expected = params.copy()
-        Adam(expected).apply(expected, grad.copy(), 1e-3)
-        if len(os.sched_getaffinity(0)) >= 2:
-            assert any(t.name == "adam-worker" for t in threading.enumerate())
-
-        def child():
-            stepped = params.copy()
-            Adam(stepped).apply(stepped, grad.copy(), 1e-3)
-            sys.exit(0 if np.array_equal(stepped, expected) else 1)
-
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(timeout=60)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-            pytest.fail("forked child did not finish its Adam step")
-        assert proc.exitcode == 0
 
 
 class TestCollect:
@@ -484,19 +420,15 @@ class TestPpoUpdate:
     @pytest.mark.parametrize(
         "width, name",
         [(8, "ffn.w1"), (128, "value.w1")],
-        ids=["one-block", "two-threads"],
+        ids=["one-block", "multi-block"],
     )
     def test_a_non_finite_step_names_the_tensor(self, monkeypatch, width, name):
-        monkeypatch.setattr(ppo_module, "_usable_cpus", lambda: 2)
         env = make_env()
         policy = make_policy(seed=16, width=width)
         batch = self.batch_of(policy, env, seed=16)
         optimizer = Adam(policy.flat)
         offset = (policy.params[name].ctypes.data - policy.flat.ctypes.data) // policy.flat.itemsize
-        if width == 8:
-            assert optimizer._split is None
-        else:
-            assert optimizer._split is not None and offset >= optimizer._split
+        assert (offset >= Adam.BLOCK) == (width > 8)
         backward = policy.backward
 
         def poisoned(*args, **kwargs):

@@ -30,6 +30,7 @@ from shardsearch.strategy import (
 )
 
 from small_specs import small_model
+from test_golden import table_requests
 
 
 def bare_hw(**overrides):
@@ -359,6 +360,21 @@ class TestAccounting:
             step = next(st for st in plan if isinstance(st, PlanStep) and st.op.name == "qkv_proj")
             costs[tp] = _op_cost(step, self.model, s, 256)[0]
         assert costs[2] == 2 * costs[4]
+
+    @pytest.mark.parametrize(
+        "config,grid",
+        [("tiny", "full"), ("moe_1p2t_h100", "random"), ("moe_1p2t_h100", "admissible")],
+    )
+    def test_every_float_field_holds_a_float(self, config, grid):
+        # A total summed from the int 0 stays the int 0 when a plan has no
+        # collective to add.
+        for req in table_requests(config, grid):
+            result = simulate(req)
+            for record in (result, result.breakdown):
+                for field in dataclasses.fields(record):
+                    if field.type == "float":
+                        value = getattr(record, field.name)
+                        assert type(value) is float, (req.strategy, field.name, value)
 
 
 class TestExplain:

@@ -2,7 +2,8 @@
 
 ``perfbench/workload.py`` wraps each ``(owner, attr)`` of ``TRACE_TARGETS``
 under ``--trace 1``, and reads every run directory a search writes; a renamed
-function or a changed run file would otherwise surface only there.
+function, a target its callers stopped calling through the patched namespace,
+or a changed run file would otherwise surface only there.
 """
 
 import importlib.util
@@ -16,6 +17,9 @@ import pytest
 from shardsearch.config import load_config, packaged_config_path
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+DECLARED = json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+# Per-layer figures that the benchmark's run adds beside ``layer_figures``.
+RUN_FIGURES = {"baselines.megatron_sweep_s", "cli.report_s", "trace.evals_per_s", "trace.overhead"}
 
 
 @pytest.fixture
@@ -36,6 +40,23 @@ def test_every_trace_target_resolves_to_a_callable(workload):
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"trace targets that no longer exist: {missing}"
+
+
+@pytest.mark.parametrize("algo", ["ppo", "sa", "rw"])
+def test_a_traced_pass_gives_every_declared_layer_figure(workload, algo, tmp_path):
+    # The benchmark refuses a traced run in which a declared figure reads None.
+    spec = workload.Workload("tiny", algo, 200, (0,))
+    tracer = workload.tracing.Tracer()
+    with workload.tracing.patched(tracer, workload.TRACE_TARGETS):
+        ops = workload.run_pass(spec, tmp_path, "op", spec.seeds, tracer)
+    assert [op.error for op in ops] == [None]
+    figures = workload.layer_figures(tracer)
+    missing = [
+        metric["name"]
+        for metric in DECLARED["per_layer"]
+        if metric["name"] not in RUN_FIGURES and figures.get(metric["name"], (None,))[0] is None
+    ]
+    assert not missing, f"{algo}: declared figures that read None: {missing}"
 
 
 def test_benchmark_checks_pass_on_the_run_files(workload, tmp_path):
