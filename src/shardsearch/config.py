@@ -27,6 +27,7 @@ from .baselines import SaConfig
 from .env import RewardConfig
 from .model import HardwareSpec, ModelSpec, check_fields
 from .ppo import PpoConfig
+from .simulator import SimRequest
 from .strategy import AXIS_BY_NAME, ActionSpaceSpec, AxisChoice, canonical_fused_ops, check_space
 
 
@@ -39,7 +40,7 @@ class SimulationSettings:
     """Workload knobs shared by every simulator call of an experiment."""
 
     context_len: int
-    slo_tpot: float = 0.050
+    slo_tpot: float = SimRequest.slo_tpot
 
     def __post_init__(self) -> None:
         check_fields("simulation", self)

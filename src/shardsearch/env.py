@@ -61,7 +61,11 @@ class EvalRecord:
 
     @staticmethod
     def from_json(line: str) -> "EvalRecord":
-        """Parse one log line; a missing, unknown or ill-typed field is a ValueError."""
+        """Parse one log line; a missing, unknown or ill-typed field is a ValueError.
+
+        So is a record whose fields disagree: ``step`` logs reason ``none``
+        and a positive raw for a valid strategy, and raw 0 for an invalid one.
+        """
         d = json.loads(line)
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
@@ -71,6 +75,9 @@ class EvalRecord:
         for name, check in _FIELD_CHECKS.items():
             if not check(d[name]):
                 raise ValueError(f"field {name!r} has a wrong value {d[name]!r}")
+        valid, reason, raw = d["valid"], d["reason"], d["raw"]
+        if valid != (reason == InvalidReason.NONE.value) or not (raw > 0 if valid else raw == 0):
+            raise ValueError(f"fields disagree: valid {valid}, reason {reason!r}, raw {raw!r}")
         d["vector"] = tuple(d["vector"])
         return EvalRecord(**d)
 
@@ -114,7 +121,7 @@ class SearchEnv:
         context_len: int,
         budget: int,
         reward: RewardConfig = RewardConfig(),
-        slo_tpot: float = 0.050,
+        slo_tpot: float = SimRequest.slo_tpot,
         log_path: str | Path | None = None,
     ) -> None:
         if budget < 1:

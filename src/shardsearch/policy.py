@@ -237,7 +237,7 @@ class PolicyNetwork:
         *,
         rng: np.random.Generator,
         history_len: int = 3,
-        width: int = 256,
+        width: int,
     ) -> None:
         if history_len < 1 or width < 1:
             raise ValueError("history_len and width must be >= 1")

@@ -65,21 +65,25 @@ class PpoConfig:
 
 @dataclass(frozen=True)
 class RolloutSample:
-    """One on-policy step: what was seen, done, and scored.
+    """One on-policy step: what was done and how it scored."""
 
-    ``forward`` is the (output, cache) pair of the forward pass that chose
-    the action, kept so the first optimization epoch, which runs under the
-    same parameters, need not recompute it.
-    """
-
-    obs: np.ndarray
     action: tuple[int, ...]
     logprob_old: float
     reward: float
-    value_old: float
-    forward: tuple[PolicyOutput, dict] | None = field(
-        default=None, compare=False, repr=False
-    )
+
+
+@dataclass(frozen=True)
+class Visit:
+    """The steps taken while the elite buffer stood still.
+
+    They all saw ``obs``, and ``forward`` is the (output, cache) pair of the
+    one forward pass that chose their actions; its value is each sample's
+    ``value_old``.
+    """
+
+    obs: np.ndarray
+    forward: tuple[PolicyOutput, dict]
+    samples: list[RolloutSample] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -170,50 +174,39 @@ def collect(
     buf: EliteBuffer,
     n: int,
     rng: np.random.Generator,
-    first: tuple[np.ndarray, PolicyOutput, dict] | None = None,
-) -> tuple[RolloutSample, ...]:
+    first: Visit | None = None,
+) -> list[Visit]:
     """Run ``n`` one-step episodes under the current policy.
 
     Valid strategies are offered to the elite buffer with the reward they
     earned; invalid ones stay in the batch (the penalty is signal) but never
     become elites. BudgetExhausted propagates and discards the partial batch.
-    ``first`` is an (observation, output, cache) triple already computed on
-    the current buffer and parameters; the first step uses it as its
-    forward pass.
 
     The parameters do not move within a batch, so a forward pass stays
-    valid until the buffer changes: steps after an unchanged buffer reuse
-    the previous step's observation and forward pass.
+    valid until the buffer changes: a step joins the last visit, and a new
+    visit, with a new observation and forward pass, starts only after
+    ``buf.offer`` changed the buffer. ``first`` is a visit with no samples
+    yet, taken on the current buffer and parameters.
     """
-    samples = []
-    current = first
+    visits = [] if first is None else [first]
+    changed = first is None
     for _ in range(n):
-        if current is None:
+        if changed:
             obs = build_observation(buf, policy.space)
-            current = (obs, *policy.forward_cached(obs))
-        obs, out, cache = current
-        action, logprob = policy.sample(out, rng)
+            visits.append(Visit(obs, policy.forward_cached(obs)))
+        visit = visits[-1]
+        action, logprob = policy.sample(visit.forward[0], rng)
         reward, _, valid = env.step(action)
-        if valid and buf.offer(action, reward):
-            current = None
-        samples.append(
-            RolloutSample(
-                obs=obs,
-                action=action,
-                logprob_old=logprob,
-                reward=reward,
-                value_old=out.value,
-                forward=(out, cache),
-            )
-        )
-    return tuple(samples)
+        visit.samples.append(RolloutSample(action, logprob, reward))
+        changed = valid and buf.offer(action, reward)
+    return visits
 
 
 def loss_and_grads(
     policy: PolicyNetwork,
-    batch: Sequence[RolloutSample],
+    visits: Sequence[Visit],
+    forwards: Sequence[tuple[PolicyOutput, dict]],
     cfg: PpoConfig,
-    reuse_forward: bool = False,
 ) -> tuple[LossReport, Mapping[str, np.ndarray]]:
     """Clipped-surrogate PPO loss and its exact parameter gradients.
 
@@ -224,88 +217,71 @@ def loss_and_grads(
     averaged over the batch. rho multiplies per-head probabilities, i.e. it
     exponentiates the summed log-probs.
 
-    The gradient is written into ``policy.grad`` and returned as the
-    policy's named views into it, which the next call overwrites. With
-    ``reuse_forward`` each sample's stored forward pass stands in for a new
-    one, which is exact only while the parameters are those it was taken
-    under. Otherwise samples holding the same observation object, as
-    ``collect`` hands out while the buffer stands still, share one new
-    forward pass.
+    ``forwards`` holds one (output, cache) pair per visit, taken on the
+    visit's observation under the current parameters. The gradient is
+    written into ``policy.grad`` and returned as the policy's named views
+    into it, which the next call overwrites.
 
     The backward pass is linear in its upstream gradients for a fixed
-    forward cache, so it runs once per distinct forward pass: samples that
-    share a cache add their ``d_logits`` tables and ``d_value`` floats in
-    batch order, and each cache's sums go through ``policy.backward`` once,
-    in first-seen order. An epoch thus costs one backward pass per forward
-    pass, and an eval one forward pass, one backward pass and one Adam step.
+    forward cache, so it runs once per visit: the visit's samples add their
+    ``d_logits`` tables and ``d_value`` floats in batch order, and the sums
+    go through ``policy.backward``, visit by visit. An epoch thus costs one
+    backward pass per forward pass, and an eval about one forward pass, one
+    backward pass and one Adam step.
     """
-    n = len(batch)
-    if n == 0:
-        raise ValueError("empty rollout batch")
+    if not visits or not all(visit.samples for visit in visits):
+        raise ValueError("empty rollout visit")
+    n = sum(len(visit.samples) for visit in visits)
     policy_loss = 0.0
     value_loss = 0.0
     entropy_total = 0.0
     clipped = 0
     ratio_sum = 0.0
-    forwards: dict[int, tuple[PolicyOutput, dict]] = {}
-    # [cache, d_logits sum, d_value sum] per forward pass, keyed by the
-    # cache's id; each entry keeps its cache alive, so ids stay distinct.
-    upstream: dict[int, list] = {}
+    clip_lo, clip_hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
 
-    for sample in batch:
-        if not (
-            math.isfinite(sample.reward)
-            and math.isfinite(sample.value_old)
-            and math.isfinite(sample.logprob_old)
-        ):
-            raise NumericsError(f"non-finite rollout sample: {sample}")
-        if reuse_forward and sample.forward is not None:
-            out, cache = sample.forward
-        else:
-            # ``batch`` keeps every observation alive, so ids stay distinct.
-            forward = forwards.get(id(sample.obs))
-            if forward is None:
-                forward = forwards[id(sample.obs)] = policy.forward_cached(sample.obs)
-            out, cache = forward
-        advantage = sample.reward - sample.value_old
-        logprob_new = out.logprob(sample.action)
+    for j, (visit, (out, cache)) in enumerate(zip(visits, forwards, strict=True)):
+        value_old = visit.forward[0].value
         head_entropy = out.head_entropies()
         entropy = left_sum(head_entropy)
-
-        ratio = math.exp(logprob_new - sample.logprob_old)
-        unclipped = ratio * advantage
-        clip_lo, clip_hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
-        clamped = min(max(ratio, clip_lo), clip_hi) * advantage
-        surrogate = min(unclipped, clamped)
-        # The unclipped branch carries the gradient whenever it attains the
-        # min; outside the clip band the clamped branch is constant in rho.
-        d_ratio = -advantage / n if unclipped <= clamped else 0.0
-        if not (clip_lo < ratio < clip_hi):
-            clipped += 1
-        ratio_sum += ratio
-
-        value_err = out.value - sample.reward
-        policy_loss += -surrogate / n
-        value_loss += cfg.value_coef * value_err * value_err / n
-        entropy_total += entropy / n
-
-        d_value = 2.0 * cfg.value_coef * value_err / n
-        d_logprob = d_ratio * ratio
-        one_hot = np.zeros_like(out.probs)
-        one_hot[np.arange(len(sample.action)), sample.action] = 1.0
-        d_logits = d_logprob * (one_hot - out.probs)
         # d(-coef * H)/d logit_j = coef * p_j (log p_j + H); masked
         # cells contribute exactly zero because p_j = 0 there.
-        d_logits += (
-            cfg.entropy_coef * out.probs * (out.log_probs + head_entropy[:, None]) / n
-        )
+        d_entropy = cfg.entropy_coef * out.probs * (out.log_probs + head_entropy[:, None]) / n
+        for i, sample in enumerate(visit.samples):
+            if not (
+                math.isfinite(sample.reward)
+                and math.isfinite(value_old)
+                and math.isfinite(sample.logprob_old)
+            ):
+                raise NumericsError(f"non-finite rollout sample: {sample}, value_old {value_old}")
+            advantage = sample.reward - value_old
+            ratio = math.exp(out.logprob(sample.action) - sample.logprob_old)
+            unclipped = ratio * advantage
+            clamped = min(max(ratio, clip_lo), clip_hi) * advantage
+            surrogate = min(unclipped, clamped)
+            # The unclipped branch carries the gradient whenever it attains
+            # the min; outside the clip band the clamped branch is constant
+            # in rho.
+            d_ratio = -advantage / n if unclipped <= clamped else 0.0
+            if not (clip_lo < ratio < clip_hi):
+                clipped += 1
+            ratio_sum += ratio
 
-        summed = upstream.get(id(cache))
-        if summed is None:
-            upstream[id(cache)] = [cache, d_logits, d_value]
-        else:
-            summed[1] += d_logits
-            summed[2] += d_value
+            value_err = out.value - sample.reward
+            policy_loss += -surrogate / n
+            value_loss += cfg.value_coef * value_err * value_err / n
+            entropy_total += entropy / n
+
+            d_value = 2.0 * cfg.value_coef * value_err / n
+            one_hot = np.zeros_like(out.probs)
+            one_hot[np.arange(len(sample.action)), sample.action] = 1.0
+            d_logits = d_ratio * ratio * (one_hot - out.probs)
+            d_logits += d_entropy
+            if i == 0:
+                d_logits_sum, d_value_sum = d_logits, d_value
+            else:
+                d_logits_sum += d_logits
+                d_value_sum += d_value
+        grads = policy.backward(cache, d_logits_sum, d_value_sum, accumulate=j > 0)
 
     total = policy_loss + value_loss - cfg.entropy_coef * entropy_total
     if not math.isfinite(total):
@@ -319,29 +295,30 @@ def loss_and_grads(
         clip_fraction=clipped / n,
         mean_ratio=ratio_sum / n,
     )
-    for j, (cache, d_logits, d_value) in enumerate(upstream.values()):
-        grads = policy.backward(cache, d_logits, d_value, accumulate=j > 0)
     return report, grads
 
 
 def ppo_update(
     policy: PolicyNetwork,
-    batch: Sequence[RolloutSample],
+    visits: Sequence[Visit],
     cfg: PpoConfig,
     lr: float,
     optimizer: Adam,
 ) -> tuple[LossReport, ...]:
     """Run ``epochs_per_update`` gradient steps on one batch.
 
-    Later epochs recompute probabilities under moved parameters, so the
-    ratio leaves 1 and clipping becomes active. Parameters are verified
-    finite after every step; a non-finite update is a training bug and
-    aborts the run.
+    Epoch 0 runs under the parameters the batch was collected with, so it
+    uses the visits' own forward passes. Later epochs run one new forward
+    pass per visit under moved parameters, so the ratio leaves 1 and
+    clipping becomes active. Parameters are verified finite after every
+    step; a non-finite update is a training bug and aborts the run.
     """
     reports = []
+    forwards = [visit.forward for visit in visits]
     for epoch in range(cfg.epochs_per_update):
-        # Epoch 0 runs under the parameters the batch was collected with.
-        report, _ = loss_and_grads(policy, batch, cfg, reuse_forward=epoch == 0)
+        if epoch > 0:
+            forwards = [policy.forward_cached(visit.obs) for visit in visits]
+        report, _ = loss_and_grads(policy, visits, forwards, cfg)
         optimizer.apply(policy.flat, policy.grad, lr)
         policy.check_finite()
         reports.append(replace(report, lr=lr))
@@ -361,8 +338,8 @@ def run_chunk(
     The confidence check runs after every update on the observation built
     from the current elite buffer; single-choice heads are confident by
     construction (their max probability is 1). Neither the buffer nor the
-    parameters change before the next rollout's first step, so that step
-    reuses the check's forward pass.
+    parameters change before the next rollout's first step, so the check's
+    forward pass is that rollout's first visit.
     """
     if allowance < 1:
         raise ValueError("chunk allowance must be >= 1")
@@ -372,14 +349,13 @@ def run_chunk(
     while spent < allowance:
         n = min(cfg.n_steps, allowance - spent)
         lr = cosine_decay(cfg.lr_initial, spent / allowance)
-        batch = collect(env, policy, buf, n, rng, first)
-        spent += len(batch)
-        ppo_update(policy, batch, cfg, lr, optimizer)
+        visits = collect(env, policy, buf, n, rng, first)
+        spent += n
+        ppo_update(policy, visits, cfg, lr, optimizer)
         obs = build_observation(buf, policy.space)
-        out, cache = policy.forward_cached(obs)
-        if bool(np.all(confidence(out) >= cfg.tau)):
+        first = Visit(obs, policy.forward_cached(obs))
+        if bool(np.all(confidence(first.forward[0]) >= cfg.tau)):
             return ChunkOutcome(exit=ChunkExit.EARLY_EXIT, evals_used=spent)
-        first = (obs, out, cache)
     return ChunkOutcome(exit=ChunkExit.EXHAUSTED, evals_used=spent)
 
 

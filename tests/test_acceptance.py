@@ -32,6 +32,7 @@ from shardsearch.ppo import (
     ChunkExit,
     PpoConfig,
     RolloutSample,
+    Visit,
     loss_and_grads,
     run_chunk,
     run_search,
@@ -246,34 +247,37 @@ def test_gradients_collective_costs_breakdown_and_codec_are_exact(tiny_cfg):
     for name in policy.params:
         if name.startswith(("head.", "value.w", "value.b")):
             policy.params[name][...] = rng.normal(scale=0.3, size=policy.params[name].shape)
-    samples = []
+    visits = []
     for advantage in (0.8, -0.5):
         obs = rng.random((3, space.vector_length))
-        out = policy.forward_cached(obs)[0]
+        forward = policy.forward_cached(obs)
+        out = forward[0]
         action, logprob = policy.sample(out, rng)
-        samples.append(
-            RolloutSample(
-                obs=obs,
-                action=action,
-                # Offset keeps the ratio inside the clip band, off its kinks.
-                logprob_old=logprob - 0.05,
-                reward=out.value + advantage,
-                value_old=out.value,
-            )
+        sample = RolloutSample(
+            action=action,
+            # Offset keeps the ratio inside the clip band, off its kinks.
+            logprob_old=logprob - 0.05,
+            reward=out.value + advantage,
         )
-    batch = tuple(samples)
+        visits.append(Visit(obs, forward, [sample]))
+    batch = tuple(visits)
     cfg = PpoConfig(budget=8, chunks=1, width=8)
+
+    def loss(batch, cfg):
+        forwards = [policy.forward_cached(visit.obs) for visit in batch]
+        return loss_and_grads(policy, batch, forwards, cfg)
+
     # Copied: the returned views are the policy's own, and the probes below
     # overwrite them.
-    grads = {name: g.copy() for name, g in loss_and_grads(policy, batch, cfg)[1].items()}
+    grads = {name: g.copy() for name, g in loss(batch, cfg)[1].items()}
     step = 1e-5
     for name, tensor in policy.params.items():
         for idx in np.ndindex(tensor.shape):
             original = tensor[idx]
             tensor[idx] = original + step
-            up = loss_and_grads(policy, batch, cfg)[0].total_loss
+            up = loss(batch, cfg)[0].total_loss
             tensor[idx] = original - step
-            down = loss_and_grads(policy, batch, cfg)[0].total_loss
+            down = loss(batch, cfg)[0].total_loss
             tensor[idx] = original
             numeric = (up - down) / (2.0 * step)
             analytic = grads[name][idx]

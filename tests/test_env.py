@@ -311,19 +311,28 @@ class TestEvalRecordJson:
     @given(
         index=st.integers(min_value=0, max_value=1 << 70),
         vector=st.lists(st.integers(min_value=-(1 << 70), max_value=1 << 70), max_size=12),
-        raw=st.one_of(
-            st.floats(),
-            st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
-            st.integers(min_value=-(1 << 80), max_value=1 << 80),
+        # The (valid, reason, raw) triples ``SearchEnv.step`` can write.
+        verdict=st.one_of(
+            st.tuples(
+                st.just(True),
+                st.just(InvalidReason.NONE.value),
+                st.one_of(
+                    st.floats(min_value=0.0, exclude_min=True),
+                    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e308]),
+                    st.integers(min_value=1, max_value=1 << 80),
+                ),
+            ),
+            st.tuples(
+                st.just(False),
+                st.sampled_from([r.value for r in InvalidReason if r is not InvalidReason.NONE]),
+                st.sampled_from([0.0, -0.0, 0]),
+            ),
         ),
         reward=st.floats(),
-        valid=st.booleans(),
-        reason=st.sampled_from([r.value for r in InvalidReason]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_to_json_writes_the_bytes_of_json_dumps(
-        self, index, vector, raw, reward, valid, reason
-    ):
+    def test_to_json_writes_the_bytes_of_json_dumps(self, index, vector, verdict, reward):
+        valid, reason, raw = verdict
         record = EvalRecord(index, tuple(vector), raw, reward, valid, reason)
         line = record.to_json()
         assert line == json.dumps(vars(record))
@@ -347,6 +356,25 @@ class TestEvalRecordJson:
         bad = {**GOOD_RECORD, field: value}
         log.write_text(json.dumps({**GOOD_RECORD, "index": 0}) + "\n" + json.dumps(bad) + "\n")
         expected = re.escape(f"{log}:2 is not an eval record: ") + f".*'{field}'"
+        with pytest.raises(ValueError, match=expected):
+            load_eval_log(log)
+
+    @pytest.mark.parametrize(
+        "valid, reason, raw",
+        [
+            (False, "oom", 50.0),
+            (False, "oom", -1.0),
+            (False, "none", 0.0),
+            (True, "oom", 12.5),
+            (True, "none", 0.0),
+            (True, "none", -12.5),
+        ],
+    )
+    def test_a_record_whose_fields_disagree_names_the_line(self, tmp_path, valid, reason, raw):
+        log = tmp_path / "evals.ndjson"
+        bad = {**GOOD_RECORD, "valid": valid, "reason": reason, "raw": raw}
+        log.write_text(json.dumps({**GOOD_RECORD, "index": 0}) + "\n" + json.dumps(bad) + "\n")
+        expected = re.escape(f"{log}:2 is not an eval record: fields disagree")
         with pytest.raises(ValueError, match=expected):
             load_eval_log(log)
 

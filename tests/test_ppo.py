@@ -17,6 +17,7 @@ import pytest
 
 import shardsearch.ppo as ppo_module
 from shardsearch.cli import main
+from shardsearch.config import load_config, packaged_config_path
 from shardsearch.env import BudgetExhausted, RewardConfig, SearchEnv, load_eval_log
 from shardsearch.policy import (
     EliteBuffer,
@@ -31,6 +32,7 @@ from shardsearch.ppo import (
     LossReport,
     PpoConfig,
     RolloutSample,
+    Visit,
     collect,
     cosine_decay,
     loss_and_grads,
@@ -69,6 +71,11 @@ def small_cfg(**overrides):
     base = dict(budget=20, chunks=5, width=16)
     base.update(overrides)
     return PpoConfig(**base)
+
+
+def fresh_forwards(policy, visits):
+    """One forward pass per visit under the current parameters."""
+    return [policy.forward_cached(visit.obs) for visit in visits]
 
 
 def force_one_hot(policy, action):
@@ -247,8 +254,8 @@ class TestCollect:
         env = make_env(budget=10)
         policy = make_policy()
         buf = EliteBuffer(3)
-        batch = collect(env, policy, buf, 2, np.random.default_rng(0))
-        assert len(batch) == 2
+        visits = collect(env, policy, buf, 2, np.random.default_rng(0))
+        assert sum(len(visit.samples) for visit in visits) == 2
         assert env.evals_used == 2
 
     def test_invalid_samples_keep_penalty_and_stay_out_of_elites(self):
@@ -263,15 +270,16 @@ class TestCollect:
         )
         policy = make_policy(seed=1)
         buf = EliteBuffer(3)
-        batch = collect(env, policy, buf, 8, np.random.default_rng(1))
-        assert all(s.reward == env.reward_cfg.invalid_penalty for s in batch)
+        (visit,) = collect(env, policy, buf, 8, np.random.default_rng(1))
+        assert all(s.reward == env.reward_cfg.invalid_penalty for s in visit.samples)
         assert buf.entries == ()
 
     def test_frozen_one_hot_policy_repeats_one_strategy(self):
         env = make_env(budget=10)
         policy = make_policy()
         force_one_hot(policy, (0,) * 16)
-        batch = collect(env, policy, EliteBuffer(3), 2, np.random.default_rng(2))
+        visits = collect(env, policy, EliteBuffer(3), 2, np.random.default_rng(2))
+        batch = [sample for visit in visits for sample in visit.samples]
         assert batch[0].action == (0,) * 16
         assert batch[1].action == (0,) * 16
 
@@ -288,16 +296,15 @@ class TestCollect:
         policy = make_policy()
         force_one_hot(policy, (0,) * 16)
         buf = EliteBuffer(3)
-        batch = collect(env, policy, buf, 3, np.random.default_rng(2))
+        visits = collect(env, policy, buf, 3, np.random.default_rng(2))
         assert all(record.valid for record in load_eval_log(log))
         # Step 0 fills the empty buffer; steps 1 and 2 repeat its vector,
         # which the buffer rejects, so only step 1 needs a new pass.
         assert forward_calls == {"forward": 2, "observation": 2}
-        assert batch[0].obs is not batch[1].obs
-        assert batch[0].forward[0] is not batch[1].forward[0]
-        assert batch[1].obs is batch[2].obs
-        assert batch[1].forward[0] is batch[2].forward[0]
-        np.testing.assert_array_equal(batch[1].obs, build_observation(buf, policy.space))
+        assert [len(visit.samples) for visit in visits] == [1, 2]
+        assert visits[0].obs is not visits[1].obs
+        assert visits[0].forward[0] is not visits[1].forward[0]
+        np.testing.assert_array_equal(visits[1].obs, build_observation(buf, policy.space))
 
     def test_an_unchanged_buffer_costs_one_forward_pass_per_batch(self, forward_calls, tmp_path):
         log = tmp_path / "evals.ndjson"
@@ -310,19 +317,20 @@ class TestCollect:
             reward=RewardConfig(),
             log_path=log,
         )
-        batch = collect(env, make_policy(seed=1), EliteBuffer(3), 8, np.random.default_rng(1))
+        visits = collect(env, make_policy(seed=1), EliteBuffer(3), 8, np.random.default_rng(1))
         assert not any(record.valid for record in load_eval_log(log))
         assert forward_calls == {"forward": 1, "observation": 1}
-        assert all(sample.obs is batch[0].obs for sample in batch)
+        assert [len(visit.samples) for visit in visits] == [8]
 
     def test_logprob_old_matches_recomputation_before_update(self):
         env = make_env(budget=10)
         policy = make_policy(seed=3)
         buf = EliteBuffer(3)
-        batch = collect(env, policy, buf, 4, np.random.default_rng(3))
-        for sample in batch:
-            out = policy.forward_cached(sample.obs)[0]
-            assert out.logprob(sample.action) == pytest.approx(sample.logprob_old, abs=1e-9)
+        visits = collect(env, policy, buf, 4, np.random.default_rng(3))
+        for visit in visits:
+            out = policy.forward_cached(visit.obs)[0]
+            for sample in visit.samples:
+                assert out.logprob(sample.action) == pytest.approx(sample.logprob_old, abs=1e-9)
 
 
 class TestPpoUpdate:
@@ -339,41 +347,42 @@ class TestPpoUpdate:
         env = make_env()
         policy = make_policy(seed=14)
         batch = self.batch_of(policy, env)
-        for sample in batch:
-            kept = list(arrays(*sample.forward))
-            fresh = list(arrays(*policy.forward_cached(sample.obs)))
+        for visit in batch:
+            kept = list(arrays(*visit.forward))
+            fresh = list(arrays(*policy.forward_cached(visit.obs)))
             assert len(kept) == len(fresh)
             for a, b in zip(kept, fresh):
                 np.testing.assert_array_equal(a, b)
         reused, reused_grads = loss_and_grads(
-            policy, batch, small_cfg(), reuse_forward=True
+            policy, batch, [visit.forward for visit in batch], small_cfg()
         )
         reused_grads = {name: g.copy() for name, g in reused_grads.items()}
-        recomputed, fresh_grads = loss_and_grads(policy, batch, small_cfg())
+        recomputed, fresh_grads = loss_and_grads(
+            policy, batch, fresh_forwards(policy, batch), small_cfg()
+        )
         assert reused.total_loss == recomputed.total_loss
         assert reused.mean_ratio == recomputed.mean_ratio
         for name in policy.params:
             np.testing.assert_array_equal(reused_grads[name], fresh_grads[name])
 
-    def test_samples_of_one_observation_share_one_forward_pass(
-        self, monkeypatch, forward_calls
-    ):
+    def test_samples_of_one_observation_share_one_forward_pass(self, monkeypatch):
         policy = make_policy(seed=15)
         rng = np.random.default_rng(15)
-        shared, other = rng.random((3, 16)), rng.random((3, 16))
         batch = []
-        for obs in (shared, other, shared):
-            out = policy.forward_cached(obs)[0]
-            action, logprob = policy.sample(out, rng)
-            batch.append(
-                RolloutSample(
-                    obs=obs,
-                    action=action,
-                    logprob_old=logprob - 0.1,
-                    reward=out.value + rng.normal(),
-                    value_old=out.value,
+        for obs, k in ((rng.random((3, 16)), 2), (rng.random((3, 16)), 1)):
+            forward = policy.forward_cached(obs)
+            out = forward[0]
+            samples = []
+            for _ in range(k):
+                action, logprob = policy.sample(out, rng)
+                samples.append(
+                    RolloutSample(
+                        action=action,
+                        logprob_old=logprob - 0.1,
+                        reward=out.value + rng.normal(),
+                    )
                 )
-            )
+            batch.append(Visit(obs, forward, samples))
         calls = []
         backward = policy.backward
 
@@ -382,33 +391,38 @@ class TestPpoUpdate:
             return backward(cache, d_logits, d_value, accumulate=accumulate)
 
         monkeypatch.setattr(policy, "backward", spy)
-        # Copies of the observations: no two samples share an object.
-        apart = [replace(sample, obs=sample.obs.copy()) for sample in batch]
-        report_apart, grads = loss_and_grads(policy, apart, small_cfg())
+        # One visit per sample: no two samples share a forward pass.
+        apart = [
+            Visit(visit.obs, visit.forward, [sample])
+            for visit in batch
+            for sample in visit.samples
+        ]
+        report_apart, grads = loss_and_grads(
+            policy, apart, fresh_forwards(policy, apart), small_cfg()
+        )
         grads_apart = {name: g.copy() for name, g in grads.items()}
         per_sample = [(d_logits, d_value) for _, d_logits, d_value, _ in calls]
         assert len(per_sample) == 3
         calls.clear()
-        forward_calls["forward"] = 0
-        report, grads = loss_and_grads(policy, batch, small_cfg())
+        report, grads = loss_and_grads(
+            policy, batch, fresh_forwards(policy, batch), small_cfg()
+        )
         grads = {name: g.copy() for name, g in grads.items()}
-        assert forward_calls["forward"] == 2
         assert replace(report, lr=0.0) == replace(report_apart, lr=0.0)  # lr is NaN
 
-        # One backward pass per distinct forward pass, in first-seen order;
-        # the shared pass gets the per-sample upstream gradients summed in
-        # batch order.
+        # One backward pass per visit, in visit order; the shared pass gets
+        # the per-sample upstream gradients summed in batch order.
         shared_call, other_call = calls
         assert shared_call[0] is not other_call[0]
         assert (shared_call[3], other_call[3]) == (False, True)
-        sum_logits = per_sample[0][0] + per_sample[2][0]
-        sum_value = per_sample[0][1] + per_sample[2][1]
+        sum_logits = per_sample[0][0] + per_sample[1][0]
+        sum_value = per_sample[0][1] + per_sample[1][1]
         np.testing.assert_array_equal(shared_call[1], sum_logits)
         assert shared_call[2] == sum_value
-        np.testing.assert_array_equal(other_call[1], per_sample[1][0])
-        assert other_call[2] == per_sample[1][1]
+        np.testing.assert_array_equal(other_call[1], per_sample[2][0])
+        assert other_call[2] == per_sample[2][1]
         backward(shared_call[0], sum_logits, sum_value)
-        reference = backward(other_call[0], *per_sample[1], accumulate=True)
+        reference = backward(other_call[0], *per_sample[2], accumulate=True)
         for name, grad in grads.items():
             np.testing.assert_array_equal(grad, reference[name], err_msg=name)
             # Summing upstream gradients first rounds differently from
@@ -444,25 +458,24 @@ class TestPpoUpdate:
         env = make_env()
         policy = make_policy(seed=4)
         batch = self.batch_of(policy, env)
-        report, _ = loss_and_grads(policy, batch, small_cfg())
+        report, _ = loss_and_grads(policy, batch, fresh_forwards(policy, batch), small_cfg())
         assert report.mean_ratio == pytest.approx(1.0, abs=1e-12)
         assert report.clip_fraction == 0.0
 
     def test_zero_advantage_zero_value_error_moves_nothing(self):
         policy = make_policy(seed=5)
         obs = np.zeros((3, 16))
-        out = policy.forward_cached(obs)[0]
+        forward = policy.forward_cached(obs)
+        out = forward[0]
         action, logprob = policy.sample(out, np.random.default_rng(0))
         sample = RolloutSample(
-            obs=obs,
             action=action,
             logprob_old=logprob,
             reward=out.value,  # advantage and value error both vanish
-            value_old=out.value,
         )
         cfg = small_cfg(entropy_coef=1e-9)
         cfg = PpoConfig(**{**cfg.__dict__, "entropy_coef": 0.0})
-        report, grads = loss_and_grads(policy, (sample,), cfg)
+        report, grads = loss_and_grads(policy, [Visit(obs, forward, [sample])], [forward], cfg)
         assert report.policy_loss == 0.0
         assert report.value_loss == 0.0
         for grad in grads.values():
@@ -471,19 +484,18 @@ class TestPpoUpdate:
     def test_positive_advantage_raises_action_probability(self):
         policy = make_policy(seed=6)
         obs = np.zeros((3, 16))
-        out = policy.forward_cached(obs)[0]
+        forward = policy.forward_cached(obs)
+        out = forward[0]
         action, logprob = policy.sample(out, np.random.default_rng(1))
         sample = RolloutSample(
-            obs=obs,
             action=action,
             logprob_old=logprob,
             reward=out.value + 1.0,  # advantage +1
-            value_old=out.value,
         )
         cfg = small_cfg(entropy_coef=0.0)
         optimizer = Adam(policy.flat)
         before = out.logprob(action)
-        ppo_update(policy, (sample,), cfg, lr=1e-3, optimizer=optimizer)
+        ppo_update(policy, [Visit(obs, forward, [sample])], cfg, lr=1e-3, optimizer=optimizer)
         after = policy.forward_cached(obs)[0].logprob(action)
         assert after > before
 
@@ -507,36 +519,37 @@ class TestPpoUpdate:
             if name.startswith(("head.", "value.w", "value.b")):
                 policy.params[name][...] = rng.normal(scale=0.3, size=policy.params[name].shape)
 
-        samples = []
+        visits = []
         for advantage in (0.7, -0.4):
             obs = rng.random((3, 16))
-            out = policy.forward_cached(obs)[0]
+            forward = policy.forward_cached(obs)
+            out = forward[0]
             action, logprob = policy.sample(out, rng)
-            samples.append(
-                RolloutSample(
-                    obs=obs,
-                    action=action,
-                    # Offset keeps the ratio near exp(0.05), inside the clip
-                    # band and away from its kinks.
-                    logprob_old=logprob - 0.05,
-                    reward=out.value + advantage,
-                    value_old=out.value,
-                )
+            sample = RolloutSample(
+                action=action,
+                # Offset keeps the ratio near exp(0.05), inside the clip
+                # band and away from its kinks.
+                logprob_old=logprob - 0.05,
+                reward=out.value + advantage,
             )
-        batch = tuple(samples)
+            visits.append(Visit(obs, forward, [sample]))
+        batch = tuple(visits)
         cfg = small_cfg()
+
+        def loss(batch, cfg):
+            return loss_and_grads(policy, batch, fresh_forwards(policy, batch), cfg)
 
         # Copied: the returned views are the policy's own, and the probes
         # below overwrite them.
-        grads = {name: g.copy() for name, g in loss_and_grads(policy, batch, cfg)[1].items()}
+        grads = {name: g.copy() for name, g in loss(batch, cfg)[1].items()}
         step = 1e-5
         for name, tensor in policy.params.items():
             for idx in np.ndindex(tensor.shape):
                 original = tensor[idx]
                 tensor[idx] = original + step
-                up = loss_and_grads(policy, batch, cfg)[0].total_loss
+                up = loss(batch, cfg)[0].total_loss
                 tensor[idx] = original - step
-                down = loss_and_grads(policy, batch, cfg)[0].total_loss
+                down = loss(batch, cfg)[0].total_loss
                 tensor[idx] = original
                 numeric = (up - down) / (2.0 * step)
                 analytic = grads[name][idx]
@@ -546,17 +559,11 @@ class TestPpoUpdate:
     def test_non_finite_loss_aborts(self):
         policy = make_policy(seed=10)
         obs = np.zeros((3, 16))
-        out = policy.forward_cached(obs)[0]
-        action, logprob = policy.sample(out, np.random.default_rng(2))
-        sample = RolloutSample(
-            obs=obs,
-            action=action,
-            logprob_old=logprob,
-            reward=float("inf"),
-            value_old=out.value,
-        )
+        forward = policy.forward_cached(obs)
+        action, logprob = policy.sample(forward[0], np.random.default_rng(2))
+        sample = RolloutSample(action=action, logprob_old=logprob, reward=float("inf"))
         with pytest.raises(FloatingPointError):
-            loss_and_grads(policy, (sample,), small_cfg())
+            loss_and_grads(policy, [Visit(obs, forward, [sample])], [forward], small_cfg())
 
 
 class TestRunChunk:
@@ -696,29 +703,38 @@ class TestRunSearch:
 
 
 class TestForwardPasses:
-    def test_a_tiny_search_runs_about_one_forward_pass_per_eval(
-        self, tmp_path, capsys, forward_calls
-    ):
-        budget = 200
-        args = ["search", "--config", "tiny", "--algo", "ppo", "--budget", str(budget),
-                "--seeds", "1", "--out", str(tmp_path / "run")]
-        assert main(args) == 0
-        capsys.readouterr()
-        # Each two-step update needs one pass for its second epoch and one
-        # for the confidence check; a buffer change costs one more.
-        assert budget <= forward_calls["forward"] <= 1.1 * budget
+    @pytest.fixture
+    def tiny_search(self, tmp_path, capsys, monkeypatch, forward_calls, backward_calls):
+        """Pass, visit and chunk counts of a seeded 200-eval tiny search."""
+        counts = {"visits": 0, "chunks": 0}
+        collect, run_chunk = ppo_module.collect, ppo_module.run_chunk
 
-    def test_a_tiny_search_runs_about_one_backward_pass_per_eval(
-        self, tmp_path, capsys, backward_calls
-    ):
-        budget = 200
-        args = ["search", "--config", "tiny", "--algo", "ppo", "--budget", str(budget),
+        def counted_collect(*args, **kwargs):
+            visits = collect(*args, **kwargs)
+            counts["visits"] += len(visits)
+            return visits
+
+        def counted_run_chunk(*args, **kwargs):
+            counts["chunks"] += 1
+            return run_chunk(*args, **kwargs)
+
+        monkeypatch.setattr(ppo_module, "collect", counted_collect)
+        monkeypatch.setattr(ppo_module, "run_chunk", counted_run_chunk)
+        args = ["search", "--config", "tiny", "--algo", "ppo", "--budget", "200",
                 "--seeds", "1", "--out", str(tmp_path / "run")]
         assert main(args) == 0
         capsys.readouterr()
-        # Each two-step update runs two epochs of one backward pass per
-        # distinct forward pass; a buffer change costs one more.
-        assert budget <= backward_calls[0] <= 1.1 * budget
+        return {**counts, "forward": forward_calls["forward"], "backward": backward_calls[0]}
+
+    def test_a_tiny_search_runs_one_backward_pass_per_visit_and_epoch(self, tiny_search):
+        epochs = load_config(packaged_config_path("tiny")).ppo.epochs_per_update
+        assert tiny_search["backward"] == epochs * tiny_search["visits"]
+
+    def test_a_tiny_search_runs_one_forward_pass_per_backward_pass_and_chunk(self, tiny_search):
+        # A visit runs one forward pass per epoch; its first comes from
+        # `collect` or from the last update's confidence check. A chunk's
+        # final confidence check starts no visit: one more pass per chunk.
+        assert tiny_search["forward"] == tiny_search["backward"] + tiny_search["chunks"]
 
 
 class TestSearchReport:

@@ -42,21 +42,35 @@ def test_every_trace_target_resolves_to_a_callable(workload):
     assert not missing, f"trace targets that no longer exist: {missing}"
 
 
-@pytest.mark.parametrize("algo", ["ppo", "sa", "rw"])
-def test_a_traced_pass_gives_every_declared_layer_figure(workload, algo, tmp_path):
-    # The benchmark refuses a traced run in which a declared figure reads None.
+def traced_pass(workload, algo, work):
+    """The tracer of one traced 200-eval ``tiny`` pass of ``algo``."""
     spec = workload.Workload("tiny", algo, 200, (0,))
     tracer = workload.tracing.Tracer()
     with workload.tracing.patched(tracer, workload.TRACE_TARGETS):
-        ops = workload.run_pass(spec, tmp_path, "op", spec.seeds, tracer)
+        ops = workload.run_pass(spec, work, "op", spec.seeds, tracer)
     assert [op.error for op in ops] == [None]
-    figures = workload.layer_figures(tracer)
+    return tracer
+
+
+@pytest.mark.parametrize("algo", ["ppo", "sa", "rw"])
+def test_a_traced_pass_gives_every_declared_layer_figure(workload, algo, tmp_path):
+    # The benchmark refuses a traced run in which a declared figure reads None.
+    figures = workload.layer_figures(traced_pass(workload, algo, tmp_path))
     missing = [
         metric["name"]
         for metric in DECLARED["per_layer"]
         if metric["name"] not in RUN_FIGURES and figures.get(metric["name"], (None,))[0] is None
     ]
     assert not missing, f"{algo}: declared figures that read None: {missing}"
+
+
+def test_a_traced_ppo_pass_records_every_learner_target(workload, tmp_path):
+    # Declared or not: a figure of a target that records no span is empty.
+    tracer = traced_pass(workload, "ppo", tmp_path)
+    # An outcome tag extends a span's name: ``ppo.chunk.early_exit``.
+    recorded = {".".join(tracer.name_of(idx).split(".")[:2]) for idx in range(len(tracer))}
+    learner = {name for _, _, name, _ in workload.TRACE_TARGETS if name.startswith(("ppo.", "policy."))}
+    assert not learner - recorded, f"targets a ppo pass never called: {sorted(learner - recorded)}"
 
 
 def test_benchmark_checks_pass_on_the_run_files(workload, tmp_path):
