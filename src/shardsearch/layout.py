@@ -225,7 +225,7 @@ class _Walker:
         demanded: LayoutKind | None,
         yielded: LayoutKind | None,
     ) -> None:
-        if demanded is not None:
+        if demanded is not None and demanded is not self.state:
             self.reconcile(demanded, f"feed {op.name}")
         out = yielded or self.state
         self.plan.append(PlanStep(op, axis, self.state, out, self.tokens))

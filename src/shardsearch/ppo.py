@@ -113,11 +113,11 @@ class ChunkOutcome:
 class Adam:
     """Adam with bias correction over one flat parameter vector.
 
-    ``m`` and ``v`` are flat vectors shaped like the parameters; the
-    learning rate is supplied per ``apply`` call. The update runs in place,
-    ``BLOCK`` elements at a time, with the gradient block and one
-    block-sized scratch row as its only temporaries, so a step allocates
-    nothing.
+    ``m`` and ``v`` store the moments pre-scaled, ``m_t / (1 - beta1)`` and
+    ``v_t / (1 - beta2)``, and the bias corrections fold into the step size
+    (Kingma & Ba 2015, section 2). The learning rate is supplied per ``apply``
+    call. The update runs in place, ``BLOCK`` elements at a time, with the
+    consumed gradient as its only scratch, so a step allocates nothing.
     """
 
     BLOCK = 1 << 15
@@ -129,36 +129,33 @@ class Adam:
         self.step_count = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self._scratch = np.empty(min(params.size, self.BLOCK))
 
     def apply(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        """One step: ``params -= lr * m_hat / (sqrt(v_hat) + eps)``, in place.
-
-        ``grad`` is consumed: it serves as scratch space and holds no
-        gradient afterwards.
+        """One step: ``params -= lr * m_hat / (sqrt(v_hat) + eps)``, in place,
+        computed as ``step * m / (sqrt(v) + eps / c2)``: equal in exact
+        arithmetic, not bit for bit. ``grad`` is consumed: it serves as
+        scratch space and holds no gradient afterwards.
         """
         self.step_count += 1
         bias1 = 1.0 - self.BETA1**self.step_count
         bias2 = 1.0 - self.BETA2**self.step_count
+        c2 = math.sqrt((1.0 - self.BETA2) / bias2)
+        step = lr * (1.0 - self.BETA1) / bias1 / c2
+        eps = self.EPS / c2
         for lo in range(0, params.size, self.BLOCK):
             hi = min(lo + self.BLOCK, params.size)
             g = grad[lo:hi]
             m = self.m[lo:hi]
             v = self.v[lo:hi]
-            t = self._scratch[: hi - lo]
-            v *= self.BETA2
-            np.multiply(1.0 - self.BETA2, g, out=t)
-            t *= g
-            v += t
             m *= self.BETA1
-            g *= 1.0 - self.BETA1
             m += g
-            np.divide(m, bias1, out=g)
-            g *= lr
-            np.divide(v, bias2, out=t)
-            np.sqrt(t, out=t)
-            t += self.EPS
-            g /= t
+            g *= g
+            v *= self.BETA2
+            v += g
+            np.sqrt(v, out=g)
+            g += eps
+            np.divide(m, g, out=g)
+            g *= step
             params[lo:hi] -= g
 
 

@@ -19,7 +19,10 @@ panels: ``moe_1p2t_h100`` seeds 0-3 and ``tiny`` seeds 0-7.
 ``search --algo sa`` and ``--algo rw`` at budget 4000 over seeds 0-3 of the
 1.2T config, the benchmark's annealing workload, and
 ``panels-sa-budget4000.json`` those of ``--algo sa`` over seeds 0-31, the
-benchmark's whole annealing panel.
+benchmark's whole annealing panel. ``panels-ppo-budget4000.json`` holds the
+digest of ``search --algo ppo`` at the paper's budget of 4000 on seed 0 of
+the 1.2T config: its chunks run 800 Adam steps each, long enough for the
+first-moment bias correction to round to 1.
 ``explain-digests.json`` holds, for each of four strategy sets (the tiny
 table, the 1.2T Megatron grid and seeded random vectors on the 1.2T and 1.6T
 configs), one sha256 over every ``explain`` text and one over every
@@ -69,6 +72,8 @@ BASELINE_ALGOS = ("sa", "rw")
 BASELINE_PATH = GOLDEN_DIR / f"baselines-{BASELINE_CONFIG}-budget{BASELINE_BUDGET}.json"
 SA_PANEL_SEEDS = 32
 SA_PANEL_PATH = GOLDEN_DIR / f"panels-sa-budget{BASELINE_BUDGET}.json"
+PPO_PAPER_SEEDS = 1
+PPO_PAPER_PATH = GOLDEN_DIR / f"panels-ppo-budget{BASELINE_BUDGET}.json"
 EXPLAIN_SETS = TABLES + tuple(
     (config, grid)
     for config in ("moe_1p2t_h100", "moe_1p6t_h100")
@@ -224,6 +229,13 @@ def test_sa_panel_logs_on_the_1p2t_config_match_golden(tmp_path):
     assert not moved, f"sa: the eval logs of seeds {moved} differ from the golden digests"
 
 
+def test_ppo_log_at_the_paper_budget_matches_golden(tmp_path):
+    expected = json.loads(PPO_PAPER_PATH.read_text(encoding="utf-8"))["sha256"][BASELINE_CONFIG]
+    assert len(expected) == PPO_PAPER_SEEDS
+    actual = log_digests(BASELINE_CONFIG, "ppo", BASELINE_BUDGET, PPO_PAPER_SEEDS, tmp_path)
+    assert actual == expected, "ppo: the eval log at budget 4000 differs from the golden digest"
+
+
 def test_run_outputs_match_golden(tmp_path):
     outputs = run_outputs(tmp_path)
     assert sorted(outputs) == sorted(p.name for p in RUN_DIR.iterdir())
@@ -249,6 +261,21 @@ def test_ppo_eval_log_matches_golden(config, seed):
     expected = json.loads(golden_path(config, seed).read_text(encoding="utf-8"))
     assert expected["budget"] == BUDGET
     assert search_records(config, seed) == expected["records"]
+
+
+def write_ppo_paper_digest() -> None:
+    with tempfile.TemporaryDirectory() as work:
+        digests = log_digests(
+            BASELINE_CONFIG, "ppo", BASELINE_BUDGET, PPO_PAPER_SEEDS, Path(work)
+        )
+    payload = {
+        "algo": "ppo",
+        "budget": BASELINE_BUDGET,
+        "file": "seed_<n>/evals.ndjson",
+        "sha256": {BASELINE_CONFIG: digests},
+    }
+    PPO_PAPER_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {PPO_PAPER_PATH}")
 
 
 if __name__ == "__main__":
@@ -324,3 +351,4 @@ if __name__ == "__main__":
     }
     SA_PANEL_PATH.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {SA_PANEL_PATH}")
+    write_ppo_paper_digest()

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -165,7 +166,26 @@ class TestCosineSchedule:
 
 
 def reference_adam_steps(tensors, grad_steps, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Per-tensor Adam, written as plain array expressions, one dict per step."""
+    """Per-tensor Adam in ``Adam``'s scaled-moment algebra, written as plain
+    array expressions: ``m`` and ``v`` hold the moments over ``1 - beta``."""
+    params = {name: t.copy() for name, t in tensors.items()}
+    m = {name: np.zeros_like(t) for name, t in tensors.items()}
+    v = {name: np.zeros_like(t) for name, t in tensors.items()}
+    for step, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+        bias1 = 1.0 - beta1**step
+        bias2 = 1.0 - beta2**step
+        c2 = math.sqrt((1.0 - beta2) / bias2)
+        size = lr * (1.0 - beta1) / bias1 / c2
+        for name, grad in grads.items():
+            m[name] = m[name] * beta1 + grad
+            v[name] = v[name] * beta2 + grad * grad
+            update = m[name] / (np.sqrt(v[name]) + eps / c2) * size
+            params[name] = params[name] - update
+    return params
+
+
+def textbook_adam_steps(tensors, grad_steps, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor Adam as Kingma & Ba write it, one dict of gradients per step."""
     params = {name: t.copy() for name, t in tensors.items()}
     m = {name: np.zeros_like(t) for name, t in tensors.items()}
     v = {name: np.zeros_like(t) for name, t in tensors.items()}
@@ -178,6 +198,22 @@ def reference_adam_steps(tensors, grad_steps, lrs, beta1=0.9, beta2=0.999, eps=1
             update = lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
             params[name] = params[name] - update
     return params
+
+
+def adam_gradients(policy, steps, seed):
+    """Seeded flat gradients of scale 1e-6 to 10, 5% of entries zero."""
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=policy.flat.size)
+        grad[rng.random(grad.size) < 0.05] = 0.0
+        yield grad
+
+
+def per_tensor(policy, flat_grads):
+    """Each flat gradient as a dict of per-tensor copies."""
+    for grad in flat_grads:
+        policy.grad[:] = grad
+        yield {name: t.copy() for name, t in policy.grads.items()}
 
 
 class TestAdam:
@@ -200,25 +236,49 @@ class TestAdam:
         # tensors straddling block boundaries.
         policy = make_policy(seed=21, width=128)
         assert policy.flat.size > 3 * Adam.BLOCK and policy.flat.size % Adam.BLOCK
-        rng = np.random.default_rng(22)
-        steps, lrs = [], []
-        for step in range(20):
-            grad = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=policy.flat.size)
-            grad[rng.random(grad.size) < 0.05] = 0.0
-            steps.append(grad)
-            lrs.append(1e-3 * (1.0 + step) / 7.0)
-        grads = []
-        for g in steps:
-            policy.grad[:] = g
-            grads.append({name: t.copy() for name, t in policy.grads.items()})
+        lrs = [1e-3 * (1.0 + step) / 7.0 for step in range(20)]
         expected = reference_adam_steps(
-            {name: t.copy() for name, t in policy.params.items()}, grads, lrs
+            {name: t.copy() for name, t in policy.params.items()},
+            per_tensor(policy, adam_gradients(policy, len(lrs), seed=22)),
+            lrs,
         )
         opt = Adam(policy.flat)
-        for grad, lr in zip(steps, lrs):
+        for grad, lr in zip(adam_gradients(policy, len(lrs), seed=22), lrs):
             opt.apply(policy.flat, grad, lr)
         for name, tensor in policy.params.items():
             np.testing.assert_array_equal(tensor, expected[name], err_msg=name)
+
+    def test_flat_update_matches_the_textbook_formula(self):
+        # 800 steps, as many as a chunk of a 4000-eval search runs: past
+        # step 350 the first-moment bias correction rounds to 1.
+        policy = make_policy(seed=23, width=8)
+        lrs = [cosine_decay(1e-3, step / 800) for step in range(800)]
+        expected = textbook_adam_steps(
+            {name: t.copy() for name, t in policy.params.items()},
+            per_tensor(policy, adam_gradients(policy, len(lrs), seed=24)),
+            lrs,
+        )
+        opt = Adam(policy.flat)
+        for grad, lr in zip(adam_gradients(policy, len(lrs), seed=24), lrs):
+            opt.apply(policy.flat, grad, lr)
+        for name, tensor in policy.params.items():
+            np.testing.assert_allclose(tensor, expected[name], rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_state_is_two_moment_vectors_and_a_step_allocates_nothing(self):
+        # Width 128 spans several update blocks.
+        policy = make_policy(seed=25, width=128)
+        grad = next(adam_gradients(policy, 1, seed=26))
+        tracemalloc.start()
+        try:
+            opt = Adam(policy.flat)
+            state = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            opt.apply(policy.flat, grad, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - state
+        finally:
+            tracemalloc.stop()
+        assert state <= 2.05 * policy.flat.nbytes, state / policy.flat.nbytes
+        assert peak < 16 * 1024, peak
 
     def test_import_and_a_multi_block_search_start_no_thread(self):
         # A fresh interpreter, so no earlier test has started a thread. The
