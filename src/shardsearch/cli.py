@@ -372,27 +372,6 @@ def _read_run(path: Path) -> _RunDir:
     )
 
 
-def _check_compatible(runs: Sequence[_RunDir]) -> None:
-    """Same-workload runs must agree on everything the simulator sees."""
-    first_for: dict[str, _RunDir] = {}
-    for run in runs:
-        prior = first_for.setdefault(run.workload, run)
-        if prior is run:
-            continue
-        same = (
-            prior.cfg.model == run.cfg.model
-            and prior.cfg.hardware == run.cfg.hardware
-            and prior.cfg.space == run.cfg.space
-            and prior.cfg.simulation == run.cfg.simulation
-            and prior.cfg.reward == run.cfg.reward
-        )
-        if not same:
-            raise CliError(
-                f"run directories {prior.path} and {run.path} both claim workload "
-                f"{run.workload!r} but their configs disagree; refusing to compare"
-            )
-
-
 def _searcher_settings(run: _RunDir) -> dict:
     """The config section of the run's searcher, ``ppo`` without its budget
     (``--budget`` overrides it, and budgets are checked on their own)."""
@@ -404,66 +383,65 @@ def _searcher_settings(run: _RunDir) -> dict:
 
 
 def _comparison_table(runs: Sequence[_RunDir]) -> list[dict]:
-    _check_compatible(runs)
+    """One row per workload and algorithm, merged over ``runs``.
+
+    The first run to reach a scope fixes what that scope shares, and a later
+    run that differs is refused:
+
+    - a workload fixes its model, hardware, action_space, simulation and
+      reward sections;
+    - a workload's seeded runs fix one budget, since each row is normalized
+      by the rw mean (the exhaustive sweep's budget is its grid);
+    - a row fixes its searcher settings;
+    - a (row, seed) pair occurs once, even within one run directory.
+    """
+    fixed: dict[tuple, tuple[_RunDir, object]] = {}
+
+    def fix(scope: tuple, run: _RunDir, value: object,
+            refusal: Callable[[_RunDir], str]) -> None:
+        prior, first = fixed.setdefault(scope, (run, value))
+        if first != value:
+            raise CliError(refusal(prior))
+
     merged: dict[tuple[str, str], list[_SeedRun]] = {}
-    first_in_row: dict[tuple[str, str], _RunDir] = {}
-    found_in: dict[tuple[str, str, int | None], _RunDir] = {}
-    seeded: dict[str, _RunDir] = {}
     for run in runs:
-        key = (run.workload, run.algorithm)
-        first = first_in_row.setdefault(key, run)
-        # The seed-free sweep's budget is its grid; the seeded runs of one
-        # workload are compared at one budget.
+        cfg, key = run.cfg, (run.workload, run.algorithm)
+        fix(("workload", run.workload), run,
+            (cfg.model, cfg.hardware, cfg.space, cfg.simulation, cfg.reward),
+            lambda prior: f"run directories {prior.path} and {run.path} both claim "
+            f"workload {run.workload!r} but their configs disagree; refusing to compare")
         if run.algorithm != "exhaustive":
-            other = seeded.setdefault(run.workload, run)
-            if other.budget != run.budget:
-                raise CliError(
-                    f"seeded runs on {run.workload} ran with budget {other.budget} in "
-                    f"{other.path} but {run.budget} in {run.path}; refusing to compare them"
-                )
-        if _searcher_settings(first) != _searcher_settings(run):
-            raise CliError(
-                f"{run.algorithm} on {run.workload} ran with different "
-                f"{run.algorithm} settings in {first.path} and {run.path}; "
-                "refusing to average them"
-            )
+            fix(("budget", run.workload), run, run.budget,
+                lambda prior: f"seeded runs on {run.workload} ran with budget "
+                f"{prior.budget} in {prior.path} but {run.budget} in {run.path}; "
+                "refusing to compare them")
+        fix(("settings", *key), run, _searcher_settings(run),
+            lambda prior: f"{run.algorithm} on {run.workload} ran with different "
+            f"{run.algorithm} settings in {prior.path} and {run.path}; "
+            "refusing to average them")
+        # Each copy of a seed is its own value, so a second copy always differs.
         for seed_run in run.seeds:
-            prior = found_in.setdefault((*key, seed_run.seed), run)
-            if prior is not run:
-                raise CliError(
-                    f"seed {seed_run.seed} of {run.algorithm} on {run.workload} appears "
-                    f"in both {prior.path} and {run.path}; refusing to count it twice"
-                )
+            fix(("seed", *key, seed_run.seed), run, object(),
+                lambda prior: f"seed {seed_run.seed} of {run.algorithm} on {run.workload} "
+                f"appears in both {prior.path} and {run.path}; refusing to count it twice")
         merged.setdefault(key, []).extend(run.seeds)
 
-    rw_mean: dict[str, float] = {}
-    exhaustive_best: dict[str, float] = {}
+    table = {}
     for (workload, algo), seeds in merged.items():
         bests = [s.best_raw for s in seeds]
-        if algo == "rw":
-            rw_mean[workload] = statistics.fmean(bests)
-        elif algo == "exhaustive":
-            exhaustive_best[workload] = max(bests)
-
-    rows = []
-    for workload, algo in merged:
-        bests = [s.best_raw for s in merged[(workload, algo)]]
-        mean_best = statistics.fmean(bests)
-        best_of_k = max(bests)
-        rw_base = rw_mean.get(workload, 0.0)
-        ex_base = exhaustive_best.get(workload, 0.0)
-        rows.append(
-            {
-                "workload": workload,
-                "algorithm": algo,
-                "runs": len(bests),
-                "mean_best_raw": mean_best,
-                "best_of_k_raw": best_of_k,
-                "normalized_over_rw": mean_best / rw_base if rw_base > 0 else None,
-                "vs_exhaustive": best_of_k / ex_base if ex_base > 0 else None,
-            }
-        )
-    return rows
+        table[workload, algo] = {
+            "workload": workload,
+            "algorithm": algo,
+            "runs": len(bests),
+            "mean_best_raw": statistics.fmean(bests),
+            "best_of_k_raw": max(bests),
+        }
+    for row in table.values():
+        rw_base = table.get((row["workload"], "rw"), {}).get("mean_best_raw", 0.0)
+        ex_base = table.get((row["workload"], "exhaustive"), {}).get("best_of_k_raw", 0.0)
+        row["normalized_over_rw"] = row["mean_best_raw"] / rw_base if rw_base > 0 else None
+        row["vs_exhaustive"] = row["best_of_k_raw"] / ex_base if ex_base > 0 else None
+    return list(table.values())
 
 
 _TABLE_COLUMNS = (

@@ -172,7 +172,7 @@ class SearchEnv:
         """Evaluate one encoded strategy; returns (reward, raw, valid)."""
         if self.evals_used >= self.budget:
             raise BudgetExhausted(f"budget of {self.budget} evaluations spent")
-        vector = tuple(map(int, action))
+        vector = tuple(action)
         strategy = decode_strategy(vector, self.space)
         result = self.evaluate_raw(strategy)
         if result.valid:

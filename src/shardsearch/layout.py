@@ -11,7 +11,7 @@ distribution states over the strategy's TP group:
 On a one-device group every state is replicated. Each operator, given its
 weight shard axis, demands one input state and yields one output state
 (``_RULES``). Whenever the producer state and the consumer demand disagree,
-exactly one collective reconciles them (``_RECONCILE``):
+at most one collective reconciles them (``_RECONCILE``):
 
     from \\ to     replicated      sharded(dim1)
     replicated    (no-op)         no-op local slice
@@ -21,8 +21,9 @@ exactly one collective reconciles them (``_RECONCILE``):
 ``Segment.resolve`` gives every operator's layouts in walk order and is
 the one layout verdict: it raises LayoutError for an unrealizable strategy.
 ``plan_layer`` then walks a resolved segment once, inserts the table's
-collective at every disagreement, and restores the replicated state at block
-boundaries where residual adds and normalization need full activations.
+collective at every disagreement that needs one, and restores the replicated
+state at block boundaries where residual adds and normalization need full
+activations.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class LayoutKind(Enum):
 
 
 class CollectiveKind(str, Enum):
-    NO_OP = "no_op"
     ALL_REDUCE = "all_reduce"
     ALL_GATHER = "all_gather"
     REDUCE_SCATTER = "reduce_scatter"
@@ -97,9 +97,9 @@ _RULES = {
 }
 
 # (from, to) -> the one collective that turns a producer's state into a
-# consumer's demand; equal states need none, and no pair ends partial_sum.
+# consumer's demand. Equal states need none, nor does replicated -> sharded,
+# where every device slices locally; no pair ends partial_sum.
 _RECONCILE = {
-    (_R, _S): CollectiveKind.NO_OP,  # every device slices locally
     (_S, _R): CollectiveKind.ALL_GATHER,
     (_P, _R): CollectiveKind.ALL_REDUCE,
     (_P, _S): CollectiveKind.REDUCE_SCATTER,
@@ -210,10 +210,8 @@ class _Walker:
         self.plan: list[PlanStep | CollectiveOp] = []
 
     def reconcile(self, target: LayoutKind, purpose: str) -> None:
-        if self.state is target:
-            return
-        kind = _RECONCILE[self.state, target]
-        if kind is not CollectiveKind.NO_OP:
+        kind = _RECONCILE.get((self.state, target))
+        if kind is not None:
             payload = self.tokens * self.features * self.dtype
             self.plan.append(CollectiveOp(kind, self.tp, payload, self.tp_wire, purpose))
         self.state = target

@@ -14,8 +14,8 @@ term growing with the log of the group:
     point_to_point  S / bw                 + latency
 
 where S is the full logical tensor size in bytes and bw the per-device
-bandwidth of the wire the group runs over. Groups of one device and no-ops
-cost exactly zero.
+bandwidth of the wire the group runs over. A group of one device costs
+exactly zero.
 
 The decode step of a pipeline executes every stage once, so
 
@@ -109,9 +109,9 @@ def op_time(flops: float, bytes_moved: float, hw: HardwareSpec) -> float:
 
 
 def collective_time(coll: CollectiveOp, hw: HardwareSpec) -> float:
-    """Alpha-beta cost of one collective; zero for no-ops and lone devices."""
+    """Alpha-beta cost of one collective; zero on a lone device."""
     n = coll.group_size
-    if coll.kind is CollectiveKind.NO_OP or n <= 1:
+    if n <= 1:
         return 0.0
     bw = hw.intra_node_bw if coll.interconnect is Interconnect.INTRA_NODE else hw.inter_node_bw
     if coll.kind is CollectiveKind.POINT_TO_POINT:
@@ -136,9 +136,7 @@ def _kv_share(model: ModelSpec, strategy: Strategy) -> int:
     return 1
 
 
-def memory_per_device(
-    model: ModelSpec, strategy: Strategy, context_len: int, batch: int
-) -> float:
+def memory_per_device(model: ModelSpec, strategy: Strategy, context_len: int) -> float:
     """Bytes of HBM one device needs to host its model and cache slice.
 
     Weights split by the degree products regardless of fine axes (a desk
@@ -157,10 +155,10 @@ def memory_per_device(
         * (model.num_layers / strategy.pp)
         * (model.num_kv_heads * model.head_dim / _kv_share(model, strategy))
         * context_len
-        * batch
+        * strategy.batch
         * d
     )
-    workspace = 2.0 * batch * (model.hidden_dim + model.ffn_dim) * d
+    workspace = 2.0 * strategy.batch * (model.hidden_dim + model.ffn_dim) * d
     return weight_bytes + kv_bytes + workspace
 
 
@@ -273,7 +271,7 @@ def simulate(req: SimRequest) -> SimResult:
     if detail is not None:
         return SimResult(valid=False, invalid_reason=InvalidReason.LAYOUT_ERROR, detail=detail)
 
-    memory = memory_per_device(model, s, req.context_len, s.batch)
+    memory = memory_per_device(model, s, req.context_len)
     if memory > hw.hbm_capacity:
         return SimResult(
             valid=False,

@@ -535,6 +535,29 @@ class TestReport:
         assert code == 1
         assert "disagree" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "num_layers", 8),
+            ("action_space", "batch", [1, 4, 8]),
+            ("simulation", "slo_tpot", 0.025),
+            ("reward", "alpha", 2.0),
+        ],
+        ids=["model.num_layers", "action_space.batch", "simulation.slo_tpot", "reward.alpha"],
+    )
+    def test_a_workload_fixes_every_section_the_simulator_sees(
+        self, tmp_path, capsys, section, key, value
+    ):
+        a = make_run(tmp_path, capsys, "rw", "a", budget="5", seeds="1")
+        b = make_run(tmp_path, capsys, "rw", "b", budget="5", seeds="1")
+        config = yaml.safe_load((b / "config.yaml").read_text(encoding="utf-8"))
+        config.setdefault(section, {})[key] = value
+        (b / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        code, out, err = run_cli(["report", str(a), str(b)], capsys)
+        assert code == 1 and out == ""
+        assert (f"run directories {a} and {b} both claim workload 'tiny-moe@128' "
+                "but their configs disagree") in err
+
     def test_one_row_needs_one_set_of_searcher_settings(self, tmp_path, capsys):
         config = tmp_path / "narrow.yaml"
         packaged = packaged_config_path("tiny").read_text(encoding="utf-8")
@@ -548,6 +571,20 @@ class TestReport:
         code, out, err = run_cli(["report", str(a), str(b)], capsys)
         assert code == 1 and out == ""
         assert str(a) in err and str(b) in err and "ppo settings" in err
+
+    def test_one_row_needs_one_set_of_sa_settings(self, tmp_path, capsys):
+        config = tmp_path / "cold.yaml"
+        packaged = packaged_config_path("tiny").read_text(encoding="utf-8")
+        assert "\nsa:" not in packaged
+        config.write_text(packaged + "\nsa:\n  t_initial: 1.0\n", encoding="utf-8")
+        a = make_run(tmp_path, capsys, "sa", "a", budget="10", seeds="1")
+        b = tmp_path / "b"
+        args = ["search", "--config", str(config), "--algo", "sa", "--budget", "10",
+                "--seed0", "3", "--out", str(b)]
+        assert run_cli(args, capsys)[0] == 0
+        code, out, err = run_cli(["report", str(a), str(b)], capsys)
+        assert code == 1 and out == ""
+        assert f"sa on tiny-moe@128 ran with different sa settings in {a} and {b}" in err
 
     def test_ppo_rows_ignore_the_config_budget(self, tmp_path, capsys):
         config = tmp_path / "long.yaml"
@@ -668,6 +705,17 @@ class TestReport:
         assert code == 1
         assert out == ""
         assert f"in both {rw} and {rw}" in err
+
+    def test_a_summary_that_lists_a_seed_twice_is_refused(self, tmp_path, capsys):
+        rw = make_run(tmp_path, capsys, "rw", "rw", budget="5", seeds="2")
+        path = rw / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["per_seed"].append(summary["per_seed"][0])
+        path.write_text(json.dumps(summary))
+        code, out, err = run_cli(["report", str(rw)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"seed 0 of rw on tiny-moe@128 appears in both {rw} and {rw}" in err
 
     def test_runs_of_different_budgets_are_refused(self, tmp_path, capsys):
         a = make_run(tmp_path, capsys, "rw", "a", budget="20", seeds="2")

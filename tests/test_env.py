@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from shardsearch.simulator import InvalidReason, SimResult, TimeBreakdown
 from shardsearch.strategy import (
     ActionSpaceSpec,
     AxisChoice,
+    DecodingError,
     canonical_fused_ops,
     encode_strategy,
     megatron_fine_dims,
@@ -130,6 +132,19 @@ class TestStep:
         with pytest.raises(BudgetExhausted):
             env.step(vec)
         assert env.evals_used == 2
+
+    @pytest.mark.parametrize("index", [1.9, True, np.int64(1)], ids=["float", "bool", "numpy"])
+    def test_an_index_that_is_not_an_int_is_refused_unevaluated(self, tmp_path, index):
+        # Truncating 1.9 to 1 would evaluate and log a vector nobody proposed.
+        log = tmp_path / "evals.ndjson"
+        env = make_env(log_path=log)
+        vec = list(megatron_vector(env.space, tp=2, batch=4))
+        vec[0] = index
+        with pytest.raises(DecodingError, match="at position 0"):
+            env.step(tuple(vec))
+        env.close()
+        assert env.evals_used == 0
+        assert load_eval_log(log) == []
 
     def test_best_raw_non_decreasing(self):
         env = make_env(budget=30)

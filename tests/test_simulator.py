@@ -106,9 +106,8 @@ class TestCollectiveTime:
         c = CollectiveOp(CollectiveKind.POINT_TO_POINT, 2, 1e8, Interconnect.INTER_NODE)
         assert collective_time(c, hw) == pytest.approx(1e8 / 5e10 + 1e-6, rel=1e-12)
 
-    def test_noop_and_singleton_groups_are_free(self):
+    def test_singleton_groups_are_free(self):
         hw = bare_hw(per_collective_latency=5e-6)
-        assert collective_time(self.coll(CollectiveKind.NO_OP), hw) == 0.0
         assert collective_time(self.coll(CollectiveKind.ALL_REDUCE, n=1), hw) == 0.0
 
     def test_closed_form_sweep(self):
@@ -148,23 +147,23 @@ class TestMemory:
         s = dataclasses.replace(s, op_dims=tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
         # weights 33600 + kv 8192 + workspace 384, all tallied by hand:
         # kv = 2 dirs * 2 layers * (4*8) kv width * 16 ctx * 2 batch * 2 B.
-        assert memory_per_device(model, s, context_len=16, batch=2) == 42176.0
+        assert memory_per_device(model, s, context_len=16) == 42176.0
 
     def test_kv_cache_component(self):
         model = self.tiny()
         s = make_strategy(model, batch=2)
         s = dataclasses.replace(s, op_dims=tuple(AxisChoice.UNSHARDED for _ in s.op_dims))
-        with_kv = memory_per_device(model, s, 16, 2)
+        with_kv = memory_per_device(model, s, 16)
         # Doubling context adds exactly one more 8192-byte cache worth.
-        doubled_ctx = memory_per_device(model, s, 32, 2)
+        doubled_ctx = memory_per_device(model, s, 32)
         assert doubled_ctx - with_kv == 8192.0
 
     def test_pipeline_split_halves_weights_and_cache(self):
         model = self.tiny()
         base = make_strategy(model, pp=1, batch=2)
         split = make_strategy(model, pp=2, batch=2)
-        m1 = memory_per_device(model, base, 16, 2)
-        m2 = memory_per_device(model, split, 16, 2)
+        m1 = memory_per_device(model, base, 16)
+        m2 = memory_per_device(model, split, 16)
         workspace = 2.0 * 2 * (32 + 16) * 2
         assert m2 - workspace == (m1 - workspace) / 2
 
@@ -174,8 +173,8 @@ class TestMemory:
         replicated = make_strategy(
             model, tp=4, batch=2, overrides={"attn_core": AxisChoice.UNSHARDED}
         )
-        km = memory_per_device(model, sharded, 16, 2)
-        ku = memory_per_device(model, replicated, 16, 2)
+        km = memory_per_device(model, sharded, 16)
+        ku = memory_per_device(model, replicated, 16)
         # Full cache is 8192 bytes; a 4-way head split saves three quarters.
         assert ku - km == 8192.0 * 3 / 4
 
